@@ -10,6 +10,7 @@ reports a failure, 2 on usage or domain errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -37,23 +38,11 @@ from .kernels import (
     theta2d_shifted,
 )
 from .phase_diagram import Displacement, energy, j_eval, phase_row, solve_alpha0
-from .verifier import SUITES, run_suite
+from .verifier import STATED_VALUES, SUITES, run_suite
 
 __all__ = ["build_parser", "main"]
 
 _EXTENDED_DPS = 30
-
-REFERENCE_THRESHOLDS: Tuple[Tuple[str, float], ...] = (
-    ("rho1", 0.04016680351),
-    ("rho2", 1.190861337),
-    ("sigma1a", 0.04016680351),
-    ("sigma1b", 1 / 1.190861337),
-    ("sigma2a", 1.190861337),
-    ("sigma2b", 24.89618074),
-    ("alpha0", 0.1726645),
-    ("alpha1", 0.3732155067),
-    ("alpha2", 0.9256496973),
-)
 
 
 class UsageError(ValueError):
@@ -111,11 +100,11 @@ def _truncation(args: argparse.Namespace) -> SeriesTruncation:
 
 
 def _context(args: argparse.Namespace):
+    # main() runs an extended command inside mpmath.workdps(_EXTENDED_DPS)
     if args.precision != "extended":
         return math
     import mpmath
 
-    mpmath.mp.dps = _EXTENDED_DPS
     return mpmath.mp
 
 
@@ -178,6 +167,14 @@ def cmd_eval(args: argparse.Namespace) -> Tuple[List[Dict[str, Any]], int]:
     return [row], 0
 
 
+def _threshold_table(
+    rho1: float, rho2: float, sigma2b: float, alpha0: float, alpha1: float, alpha2: float
+) -> Dict[str, float]:
+    """The thresholds table: sigma1a = rho1, sigma1b = 1/rho2, sigma2a = rho2."""
+    names = "rho1 rho2 sigma1a sigma1b sigma2a sigma2b alpha0 alpha1 alpha2".split()
+    return dict(zip(names, (rho1, rho2, rho1, 1 / rho2, rho2, sigma2b, alpha0, alpha1, alpha2)))
+
+
 def cmd_thresholds(args: argparse.Namespace) -> Tuple[List[Dict[str, Any]], int]:
     trunc = _truncation(args)
     ctx = _context(args)
@@ -193,20 +190,14 @@ def cmd_thresholds(args: argparse.Namespace) -> Tuple[List[Dict[str, Any]], int]
     alpha2 = 1 / (1 + 2 * rho1)
     # the two-component balance solver always runs in double precision
     alpha0 = solve_alpha0(DEFAULT_TRUNCATION).alpha0
-    computed = {
-        "rho1": rho1,
-        "rho2": rho2,
-        "sigma1a": rho1,
-        "sigma1b": 1 / rho2,
-        "sigma2a": rho2,
-        "sigma2b": 1 / rho1,
-        "alpha0": alpha0,
-        "alpha1": alpha1,
-        "alpha2": alpha2,
-    }
+    computed = _threshold_table(rho1, rho2, 1 / rho1, alpha0, alpha1, alpha2)
+    ref = STATED_VALUES
+    stated = _threshold_table(
+        ref["rho1"], ref["rho2"], ref["sigma2b"], ref["alpha0"], ref["alpha1"], ref["alpha2"]
+    )
     rows = [
-        {"name": name, "computed": computed[name], "reference": ref, "delta": computed[name] - ref}
-        for name, ref in REFERENCE_THRESHOLDS
+        {"name": name, "computed": value, "reference": stated[name], "delta": value - stated[name]}
+        for name, value in computed.items()
     ]
     consistency = computed["sigma2b"] * computed["rho1"]
     rows.append(
@@ -431,8 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    ctx = _context(args)
     try:
-        rows, code = args.fn(args)
+        with contextlib.nullcontext() if ctx is math else ctx.workdps(_EXTENDED_DPS):
+            rows, code = args.fn(args)
     except (UsageError, DomainError, TruncationError, NoRootError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

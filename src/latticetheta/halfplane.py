@@ -24,7 +24,6 @@ the minimizer curve (vertical segment, corner at i, unit-circle arc).
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass, field
@@ -133,14 +132,6 @@ def compose(outer: MoebiusWord, inner: MoebiusWord) -> MoebiusWord:
     return MoebiusWord(m, outer.reflect != inner.reflect, outer.gens + inner.gens)
 
 
-def _translation_word(k: int, step: int) -> MoebiusWord:
-    # z -> z + k, where k is a multiple of the group's translation step
-    label = "T" if step == 1 else "T2"
-    n = abs(k) // step
-    gens = tuple(f"{label}^{'-' if k < 0 else ''}1" for _ in range(n))
-    return MoebiusWord((1, k, 0, 1), gens=gens)
-
-
 def apply(word: MoebiusWord, z: HalfPlanePoint) -> HalfPlanePoint:
     """Apply a group element to a half-plane point."""
     w = complex(z.x, z.y)
@@ -163,35 +154,46 @@ def reduce(z: HalfPlanePoint, group: GroupId) -> Tuple[HalfPlanePoint, MoebiusWo
         raise DomainError(f"unknown group {group!r}")
     step = 2 if group is GroupId.G2 else 1
     reflective = group is not GroupId.Gamma
+    label = "T" if step == 1 else "T2"
 
+    # carry the word as matrix, flag and labels (oldest first); each step
+    # left-multiplies its generator as compose() would
     x, y = z.x, z.y
-    word = IDENTITY
+    a, b, c, d = 1, 0, 0, 1
+    reflect, gens = False, []
     for _ in range(_REDUCE_MAX_STEPS):
         # translate into [-step/2, step/2)
         k = -step * math.floor(x / step + 0.5)
         if k:
             x += k
-            word = compose(_translation_word(k, step), word)
+            a, b = a + k * c, b + k * d
+            gens.extend([f"{label}^{'-' if k < 0 else ''}1"] * (abs(k) // step))
         if reflective and x < 0:
             x = -x
-            word = compose(REFLECTION, word)
+            b, c, reflect = -b, -c, not reflect
+            gens.append("R")
         r2 = x * x + y * y
         if r2 >= 1.0:
             break
         x, y = -x / r2, y / r2
-        word = compose(INVERSION, word)
+        a, b, c, d = -c, -d, a, b
+        gens.append("S")
     else:
         raise ReductionError(f"reduction of ({z.x}, {z.y}) exceeded {_REDUCE_MAX_STEPS} steps")
 
     # boundary canonicalization
     if x < 0.0 and abs(x * x + y * y - 1.0) <= 4e-16:
         x = -x  # tie on the unit circle: prefer x >= 0
-        word = compose(INVERSION, word)
+        a, b, c, d = -c, -d, a, b
+        gens.append("S")
         if reflective:
-            word = compose(REFLECTION, word)
+            b, c, reflect = -b, -c, not reflect
+            gens.append("R")
     if group is GroupId.Gamma and x == -0.5:
         x = 0.5
-        word = compose(TRANSLATION, word)
+        a, b = a + c, b + d
+        gens.append("T")
+    word = MoebiusWord((a, b, c, d), reflect, tuple(reversed(gens))) if gens else IDENTITY
     return HalfPlanePoint(x, y), word
 
 

@@ -7,13 +7,17 @@ This module is the numerical foundation of the package.  It evaluates
   fourth order,
 * the classical one-dimensional theta function ``theta1d(X; Y)`` in both its
   direct Fourier form and its Poisson-summed form,
-* the lattice theta function ``theta2d(s; z)`` for a modulus ``z`` in the
-  upper half-plane, via a row decomposition into one-dimensional thetas, and
-* its midpoint-shifted companion ``theta2d_shifted(s; z)``.
+* the lattice theta function ``theta2d(s; z)`` for ``z`` in the upper
+  half-plane and its midpoint-shifted companion ``theta2d_shifted(s; z)``,
+  through one kernel that also serves J of :mod:`phase_diagram`: reduce ``z``
+  into the fundamental domain, carry the displacement through the word, and
+  sum the Poisson-summed series on an ellipse certified by a closed-form
+  Gaussian bound (the genus-1 case of Deconinck et al., "Computing Riemann
+  theta functions", Math. Comp. 73 (2004)).
 
-Every series is truncated only once a geometric-majorant bound certifies the
-discarded tail below the requested tolerance; ``tail_bound`` exposes the
-bounds themselves so callers (and tests) can audit them.
+Every series is truncated only once a bound certifies the discarded tail
+below the requested tolerance; ``tail_bound`` exposes the bounds themselves,
+through the functions the sums use, so callers (and tests) can audit them.
 
 All functions are pure.  The ``ctx`` parameter selects the arithmetic
 backend: the default is the ``math`` module (binary64); passing ``mpmath.mp``
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Any
 
 __all__ = [
@@ -212,6 +217,13 @@ def jacobi_theta(
     )
 
 
+def _theta1d_tail(N: int, X: float, dY_order: int) -> float:
+    """:func:`_jacobi_tail`'s majorant for the direct theta1d series, order -> dY_order."""
+    t_next = 2.0 * (2.0 * math.pi * (N + 1)) ** dY_order * math.exp(-math.pi * (N + 1) ** 2 * X)
+    ratio = ((N + 2) / (N + 1)) ** dY_order * math.exp(-math.pi * (2 * N + 3) * X)
+    return math.inf if ratio >= 1.0 else t_next / (1.0 - ratio)
+
+
 def _theta1d_direct(X: float, Y: float, dY_order: int, trunc: SeriesTruncation, ctx: Any) -> float:
     """Direct Fourier form, efficient for X >= 1."""
     pi = ctx.pi
@@ -225,17 +237,13 @@ def _theta1d_direct(X: float, Y: float, dY_order: int, trunc: SeriesTruncation, 
         else:
             term = -4 * pi * n * w * ctx.sin(2 * pi * n * Y)
         total = total + term
-        # same geometric majorant as the Jacobi series, order -> dY_order
-        t_next = 2.0 * (2.0 * math.pi * (n + 1)) ** dY_order * math.exp(
-            -math.pi * (n + 1) ** 2 * float(X)
-        )
-        ratio = ((n + 2) / (n + 1)) ** dY_order * math.exp(-math.pi * (2 * n + 3) * float(X))
-        if ratio < 1.0 and t_next / (1.0 - ratio) <= trunc.tail_tol:
+        bound = _theta1d_tail(n, float(X), dY_order)
+        if bound <= trunc.tail_tol:
             return total
     raise TruncationError(
         f"theta1d(X={X}, Y={Y}): direct series did not certify tol within "
         f"max_index={trunc.max_index}",
-        achieved_bound=t_next / max(1.0 - ratio, 1e-300),
+        achieved_bound=bound,
     )
 
 
@@ -310,44 +318,147 @@ def theta1d(
     return _theta1d_poisson(X, Y, dY_order, trunc, ctx)
 
 
+def _reduce_point(z: HalfPlanePoint, ctx: Any):
+    """``z'``, ``z`` moved into the closure of D_Gamma, and ``L = (l0, l1; l2, l3)``
+    with ``F(s; z; a, b) = F(s; z'; L (a, b))`` for ``F`` of :func:`_lattice_sum`.
+
+    The word is found in binary64 for ``z - k`` (``k`` the integer nearest
+    ``x``); ``z'`` is recomputed in the backend from ``x - k`` and ``y``.
+    Renumbering ``(m, n)`` by the word keeps the sum, so ``L = (A, B; C, D)
+    diag(1, sigma) (1, -k; 0, 1)``, ``sigma = -1`` if it reflects (flips b)."""
+    from . import halfplane  # deferred: halfplane imports this module
+
+    k = math.floor(float(z.x) + 0.5)
+    _, word = halfplane.reduce(HalfPlanePoint(float(z.x) - k, float(z.y)), halfplane.GroupId.Gamma)
+    A, B, C, D = word.matrix
+    sigma = -1 if word.reflect else 1
+    one = ctx.exp(0)  # 1 in the backend's type; x - k is exact in it
+    x, y = sigma * (one * z.x - k), one * z.y
+    if ctx is math:  # exact numerators: A x + B and C x + D cancel when y is tiny
+        p, n = x.as_integer_ratio()
+        u, q = (A * p + B * n) / n, (C * p + D * n) / n
+    else:
+        u, q = A * x + B, C * x + D
+    den = q * q + (C * y) ** 2
+    return (u * q + A * C * y * y) / den, y / den, (A, sigma * B - k * A, C, sigma * D - k * C)
+
+
+def _lattice_tail(r2: float, s: float, x: float, y: float, order: int, L: tuple) -> float:
+    """Bound on what :func:`_lattice_sum` discards at the reduced point when it
+    keeps ``Q = alpha m^2 + beta d^2 <= r2`` (``alpha = s pi y``, ``beta = pi y/s``).
+
+    A term of an ``order`` partial is at most ``(c sqrt(Q) + c0)^order e^{-Q}``,
+    ``c = 2 pi sqrt(max(1, x^2)/alpha + (y/s)^2/beta)``, ``c0 = sqrt(2 pi y/s)``.
+    With ``eps = order/(2 r2)`` the factor times ``e^{-eps Q}`` peaks at
+    ``Q = r2`` on ``Q > r2``, leaving Gaussians at ``(1 - eps)(alpha, beta)``.
+    As ``(u + j)^2 >= u^2 + j^2``, a one-sided run past ``u`` sums to at most
+    ``t e^{-u^2}``, ``t(c) = 1 + sqrt(pi/c)/2``: each of the ``2R/sqrt(alpha) + 1``
+    rows with ``alpha m^2 <= r2`` drops at most ``2 t(beta') e^{-(1-eps) r2}``
+    and the rows beyond ``4 t(alpha') t(beta') e^{-(1-eps) r2}``.  Scaled by
+    ``sqrt(y/s)`` and the chain rule's largest gain through ``L``."""
+    if r2 <= order / 2:
+        return math.inf
+    alpha, beta = s * math.pi * y, math.pi * y / s
+    growth = max(abs(L[0]) + abs(L[2]), abs(L[1]) + abs(L[3])) ** order
+    R, shrink = math.sqrt(r2), 1.0 - order / (2.0 * r2)
+    c = 2.0 * math.pi * math.sqrt(max(1.0, x * x) / alpha + (y / s) ** 2 / beta)
+    weight = (c * R + math.sqrt(2.0 * math.pi * y / s)) ** order
+    t = lambda rate: 1.0 + 0.5 * math.sqrt(math.pi / (shrink * rate))
+    rows = 2.0 * R / math.sqrt(alpha) + 1.0 + 2.0 * t(alpha)
+    return math.sqrt(y / s) * growth * weight * 2.0 * t(beta) * rows * math.exp(-r2)
+
+
+def _lattice_sum(
+    s: float, z: HalfPlanePoint, a: float, b: float, order: int, trunc: SeriesTruncation, ctx: Any
+) -> tuple:
+    """The partials of total ``order`` (0..2), by ``b``-order, of
+
+        F(s; z; a, b) = sum_{(m,n) in Z^2} e^{-s pi |m z + n|^2 / y} e^{2 pi i (m a + n b)}.
+
+    After :func:`_reduce_point` (so ``y >= sqrt(3)/2`` bounds the terms) the
+    ``n``-sum is Poisson-summed on the smallest ellipse :func:`_lattice_tail`
+    certifies, and ``m < 0`` adds the conjugates of ``m > 0``:
+
+        F = sqrt(y/s) sum_{m, d in b + Z} e^{-s pi y m^2 - pi y d^2/s} e^{2 pi i m (a - x d)}
+    """
+    xr, yr, L = _reduce_point(z, ctx)
+    l0, l1, l2, l3 = L
+    ar, br = l0 * a + l1 * b, l2 * a + l3 * b
+    sf, xf, yf = float(s), float(xr), float(yr)
+    alpha, beta = sf * math.pi * yf, math.pi * yf / sf
+
+    # the ellipse fits the index box |m|, |d| <= max_index; the start covers
+    # the bound's polynomial prefactor at most points
+    r2_cap = trunc.max_index**2 * min(alpha, beta)
+    tol = float(trunc.tail_tol)
+    r2 = min(4.0 + 4.5 * order - math.log(tol), r2_cap)
+    while (bound := _lattice_tail(r2, sf, xf, yf, order, L)) > tol:
+        if r2 >= r2_cap:
+            raise TruncationError(
+                f"lattice sum (s={s}, z=({z.x}, {z.y})): tail bound {bound:.3e} > tol "
+                f"{tol:.3e} at max_index={trunc.max_index}",
+                achieved_bound=bound,
+            )
+        r2 = min(r2 + math.log(bound / tol) + 0.5, r2_cap)
+
+    # Row m keeps |d| <= sqrt((r2 - alpha m^2) / beta).  A term's partials in
+    # a and b carry i U and -(P + i V) (U = 2 pi m, V = U x, P = h d, h = 2 pi y/s,
+    # d/db P = h): a row needs only sum g d^p cos(phi) and sum g d^p sin(phi).
+    pi, exp, cos, sin = ctx.pi, ctx.exp, ctx.cos, ctx.sin
+    t = br - math.floor(float(br) + 0.5)
+    reach = math.sqrt(r2 / beta)
+    j0 = math.ceil(-reach - float(t))
+    ds = [t + j for j in range(j0, math.floor(reach - float(t)) + 1)]
+    gd = [[exp(-pi * yr * d * d / s) for d in ds]]
+    for _ in range(order):
+        gd.append([w * d for w, d in zip(gd[-1], ds)])
+    h = 2 * pi * yr / s
+    sums = [0] * (order + 1)
+    for m in range(int(math.sqrt(r2 / alpha)) + 1):
+        reach = math.sqrt((r2 - alpha * m * m) / beta)
+        lo, hi = math.ceil(-reach - float(t)) - j0, math.floor(reach - float(t)) - j0 + 1
+        U, V = 2 * pi * m, 2 * pi * m * xr
+        phis = [U * (ar - xr * d) for d in ds[lo:hi]]
+        cs = list(map(cos, phis))
+        ss = list(map(sin, phis)) if order else None
+        moment = lambda p, trig: sum(map(mul, gd[p][lo:hi], trig))
+        if order == 0:
+            row = (moment(0, cs),)
+        elif order == 1:
+            s0 = moment(0, ss)
+            row = (-U * s0, V * s0 - h * moment(1, cs))
+        else:
+            c0, s1 = moment(0, cs), moment(1, ss)
+            c2 = h * h * moment(2, cs) - (V * V + h) * c0 - 2 * h * V * s1
+            row = (-U * U * c0, U * (V * c0 + h * s1), c2)
+        weight = (2 if m else 1) * exp(-s * pi * yr * m * m)
+        sums = [acc + weight * r for acc, r in zip(sums, row)]
+    G = [ctx.sqrt(yr / s) * v for v in sums]
+
+    # chain rule back to (a, b): d/da = l0 d/da' + l2 d/db', d/db = l1 d/da' + l3 d/db'
+    if order == 0:
+        return (G[0],)
+    if order == 1:
+        return (l0 * G[0] + l2 * G[1], l1 * G[0] + l3 * G[1])
+    return (
+        l0 * l0 * G[0] + 2 * l0 * l2 * G[1] + l2 * l2 * G[2],
+        l0 * l1 * G[0] + (l0 * l3 + l1 * l2) * G[1] + l2 * l3 * G[2],
+        l1 * l1 * G[0] + 2 * l1 * l3 * G[1] + l3 * l3 * G[2],
+    )
+
+
 def theta2d(
     s: float,
     z: HalfPlanePoint,
     trunc: SeriesTruncation = DEFAULT_TRUNCATION,
     ctx: Any = math,
 ) -> float:
-    """Lattice theta function ``theta(s; z)`` on the unit-covolume lattice.
-
-    Evaluates ``sum_{(m,n) in Z^2} e^{-s pi |m z + n|^2 / y}`` through the
-    row decomposition
-
-        theta(s; z) = sqrt(y/s) * sum_m e^{-s pi y m^2} theta1d(y/s; m x),
-
-    so each row reuses the one-dimensional kernel at ``X = y/s``.
-    """
+    """Lattice theta function ``theta(s; z)`` on the unit-covolume lattice:
+    ``sum_{(m,n) in Z^2} e^{-s pi |m z + n|^2 / y}``, by the reduced lattice
+    kernel (the sum is invariant under SL(2, Z))."""
     if not s > 0:
         raise DomainError(f"theta2d needs s > 0, got {s}")
-    x, y = z.x, z.y
-    X = y / s
-    pi = ctx.pi
-
-    total = theta1d(X, 0.0, 0, trunc, ctx)
-    Xf = float(X)
-    # theta1d(X; Y) <= theta1d(X; 0) <= 1 + 3 e^{-pi min(X,1/X)} < 4 for X bounded
-    # away from 0; we use the crude row majorant 4 e^{-s pi y m^2}.
-    row_cap = 4.0 * max(1.0, Xf ** -0.5)
-    scale = math.sqrt(Xf)  # the sqrt(y/s) prefactor scales the realized tail
-    for m in range(1, trunc.max_index + 1):
-        total = total + 2 * ctx.exp(-s * pi * y * m * m) * theta1d(X, m * x, 0, trunc, ctx)
-        t_next = 2.0 * row_cap * math.exp(-float(s) * math.pi * float(y) * (m + 1) ** 2)
-        ratio = math.exp(-float(s) * math.pi * float(y) * (2 * m + 3))
-        if scale * t_next / (1.0 - ratio) <= trunc.tail_tol:
-            return ctx.sqrt(y / s) * total
-    raise TruncationError(
-        f"theta2d(s={s}, z=({x}, {y})): row sum did not certify tol within "
-        f"max_index={trunc.max_index}",
-        achieved_bound=t_next,
-    )
+    return _lattice_sum(s, z, 0, 0, 0, trunc, ctx)[0]
 
 
 def theta2d_shifted(
@@ -362,7 +473,8 @@ def theta2d_shifted(
     plain engine applies after the substitution; no bespoke half-integer sum
     is needed.
     """
-    return theta2d(s, HalfPlanePoint((z.x + 1.0) / 2.0, z.y / 2.0), trunc, ctx)
+    one = ctx.exp(0)  # forms (x + 1)/2 in the backend
+    return theta2d(s, HalfPlanePoint((one * z.x + 1) / 2, one * z.y / 2), trunc, ctx)
 
 
 def tail_bound(kind: str, N: int, **params: float) -> float:
@@ -370,14 +482,16 @@ def tail_bound(kind: str, N: int, **params: float) -> float:
 
     Parameters
     ----------
-    kind : {"jacobi", "theta1d", "theta2d_rows"}
+    kind : {"jacobi", "theta1d", "lattice"}
         * ``jacobi`` — tail of a Jacobi series after index ``N``; parameters
           ``y`` (> 0), optional ``order`` (default 0) and ``theta_kind``
           (default "three").
         * ``theta1d`` — tail of the direct Fourier series after index ``N``;
           parameters ``X`` (> 0), optional ``dY_order``.
-        * ``theta2d_rows`` — tail of the row decomposition after row ``N``;
-          parameters ``s``, ``y``.
+        * ``lattice`` — tail of the reduced lattice sum behind ``theta2d``
+          and ``j_eval`` once it keeps every index up to ``N`` (the ellipse
+          ``s m^2 + d^2 / s <= N^2 min(s, 1/s)``); parameters ``y`` (> 0),
+          optional ``x`` (0), ``s`` (1) and the partial's ``order`` (0..2, 0).
     N : int
         Last retained index; must be >= 1.
 
@@ -399,17 +513,11 @@ def tail_bound(kind: str, N: int, **params: float) -> float:
         X = params["X"]
         if not X > 0:
             raise DomainError("theta1d tail bound needs X > 0")
-        d = int(params.get("dY_order", 0))
-        t_next = 2.0 * (2.0 * math.pi * (N + 1)) ** d * math.exp(-math.pi * (N + 1) ** 2 * X)
-        ratio = ((N + 2) / (N + 1)) ** d * math.exp(-math.pi * (2 * N + 3) * X)
-        return math.inf if ratio >= 1.0 else t_next / (1.0 - ratio)
-    if kind == "theta2d_rows":
-        s, y = params["s"], params["y"]
-        if not (s > 0 and y > 0):
-            raise DomainError("theta2d row bound needs s > 0 and y > 0")
-        X = y / s
-        row_cap = 4.0 * max(1.0, X ** -0.5)
-        t_next = 2.0 * row_cap * math.exp(-s * math.pi * y * (N + 1) ** 2)
-        ratio = math.exp(-s * math.pi * y * (2 * N + 3))
-        return math.inf if ratio >= 1.0 else math.sqrt(X) * t_next / (1.0 - ratio)
+        return _theta1d_tail(N, X, int(params.get("dY_order", 0)))
+    if kind == "lattice":
+        s, y, order = params.get("s", 1.0), params["y"], params.get("order", 0)
+        if not (s > 0 and y > 0 and order in (0, 1, 2)):
+            raise DomainError("lattice bound needs s > 0, y > 0 and order 0, 1 or 2")
+        xr, yr, L = _reduce_point(HalfPlanePoint(params.get("x", 0.0), y), math)
+        return _lattice_tail(N * N * math.pi * yr * min(s, 1 / s), s, xr, yr, order, L)
     raise DomainError(f"unknown tail bound kind {kind!r}")

@@ -25,10 +25,9 @@ four (square) and six (hexagonal, where (1/3, 1/3) and (2/3, 2/3) join).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import Any, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .functionals import FunctionalKind, minimizer, thresholds
 from .kernels import (
@@ -36,7 +35,7 @@ from .kernels import (
     DomainError,
     HalfPlanePoint,
     SeriesTruncation,
-    TruncationError,
+    _lattice_sum,
     jacobi_theta,
     theta2d,
     theta2d_shifted,
@@ -91,105 +90,6 @@ UNIVERSAL_POINTS = {
 # the interaction functional
 
 
-def _psi_factor(psi: complex, two_pi_y: float, db_order: int) -> complex:
-    if db_order == 0:
-        return 1.0
-    if db_order == 1:
-        return psi
-    return psi * psi - two_pi_y
-
-
-def _j_row_poisson(
-    m: int, x: float, y: float, a: float, b: float, da_order: int, db_order: int, tol: float
-) -> Tuple[float, float]:
-    """One outer row of the Poisson form; returns (value, sum of |terms|)."""
-    two_pi = 2 * math.pi
-    inner: complex = 0.0
-    inner_abs = 0.0
-    k = 0
-    while True:
-        done = True
-        for kk in (k, -k) if k else (0,):
-            d = kk - b
-            term = cmath.exp(-math.pi * y * d * d - 1j * two_pi * d * m * x)
-            psi = two_pi * complex(y * d, m * x)
-            term *= _psi_factor(psi, two_pi * y, db_order)
-            inner += term
-            inner_abs += abs(term)
-        # distance of the nearest unseen index to b is at least k - b > k - 1
-        if k >= 2:
-            cap = two_pi * (y * (k + 2) + abs(m * x) + 1.0)
-            t_next = 2 * math.exp(-math.pi * y * (k - 1) ** 2) * cap**db_order
-            done = t_next <= tol
-        else:
-            done = False
-        k += 1
-        if done or k > 512:
-            break
-    phase = (two_pi * 1j * m) ** da_order * cmath.exp(two_pi * 1j * m * a)
-    return (phase * inner).real, abs(phase) * inner_abs
-
-
-def _j_eval_poisson(
-    x: float, y: float, a: float, b: float, da_order: int, db_order: int, trunc: SeriesTruncation
-) -> float:
-    tol = trunc.tail_tol
-    scale = math.sqrt(y)
-    total = 0.0
-    prev_abs = None
-    for m in range(0, trunc.max_index + 1):
-        weight = math.exp(-math.pi * m * m * y)
-        row_abs_max = 0.0
-        for mm in (m, -m) if m else (0,):
-            val, row_abs = _j_row_poisson(mm, x, y, a, b, da_order, db_order, tol)
-            total += weight * val
-            row_abs_max = max(row_abs_max, row_abs)
-        prev_abs = weight * row_abs_max
-        # next row: Gaussian weight shrinks, polynomial factors grow slowly
-        growth = ((m + 2.0) / (m + 1.0)) ** (da_order + db_order)
-        t_next = 2 * prev_abs * math.exp(-math.pi * (2 * m + 1) * y) * growth * 2
-        ratio = math.exp(-math.pi * (2 * m + 3) * y) * growth
-        if m >= 1 and scale * t_next / (1.0 - ratio) <= tol:
-            return scale * total
-        if m >= 1 and prev_abs == 0.0 and weight < tol:
-            return scale * total
-    raise TruncationError(
-        f"j_eval(z=({x}, {y})): row sum did not certify tol within "
-        f"max_index={trunc.max_index}",
-        achieved_bound=prev_abs if prev_abs is not None else math.inf,
-    )
-
-
-def _j_eval_direct(
-    x: float, y: float, a: float, b: float, da_order: int, db_order: int, trunc: SeriesTruncation
-) -> float:
-    """Plain double sum; efficient when y < 1 (the in-row decay is 1/y)."""
-    two_pi = 2 * math.pi
-    order = da_order + db_order
-    m_cap = int(math.sqrt(max(-math.log(trunc.tail_tol) - 3, 1.0) / (math.pi * y))) + 3
-    n_spread = int(math.sqrt(max(-math.log(trunc.tail_tol) - 3, 1.0) * y / math.pi)) + 3
-    if m_cap > trunc.max_index or n_spread > trunc.max_index:
-        raise TruncationError(
-            f"j_eval(z=({x}, {y})): direct sum needs more than max_index="
-            f"{trunc.max_index} rows",
-            achieved_bound=math.inf,
-        )
-    total = 0.0
-    for m in range(-m_cap, m_cap + 1):
-        center = round(m * x)
-        row = 0.0
-        for n in range(center - n_spread, center + n_spread + 1):
-            w = math.exp(-math.pi * ((m * x - n) ** 2 / y + m * m * y))
-            phase = two_pi * (m * a + n * b)
-            if order % 2 == 0:
-                trig = math.cos(phase) * (-1 if order == 2 else 1)
-            else:
-                trig = -math.sin(phase)
-            row += w * (two_pi * m) ** da_order * (two_pi * n) ** db_order * trig
-        total += row
-    return total
-
-
 def j_eval(
     z: HalfPlanePoint,
     d: Displacement,
@@ -197,18 +97,21 @@ def j_eval(
     db_order: int = 0,
     trunc: SeriesTruncation = DEFAULT_TRUNCATION,
 ) -> float:
-    """J(z; a, b) or a partial derivative in the displacement (total order <= 2).
-
-    For y >= 1 the inner lattice row is Poisson-summed (decay rate y both
-    ways); for y < 1 the plain double sum already converges quickly.
-    """
+    """J(z; a, b) or a partial derivative in the displacement (total order <= 2),
+    certified at every point of the half-plane by the reduced lattice kernel."""
     if da_order not in (0, 1, 2) or db_order not in (0, 1, 2):
         raise DomainError("displacement derivative orders must be 0, 1 or 2")
     if da_order + db_order > 2:
         raise DomainError("total displacement derivative order must be at most 2")
-    if z.y >= 1.0:
-        return _j_eval_poisson(z.x, z.y, d.a, d.b, da_order, db_order, trunc)
-    return _j_eval_direct(z.x, z.y, d.a, d.b, da_order, db_order, trunc)
+    return _j_partials(z, d.a, d.b, da_order + db_order, trunc)[db_order]
+
+
+def _j_partials(z: HalfPlanePoint, a: float, b: float, order: int, trunc: SeriesTruncation):
+    """Every displacement partial of J of total ``order``, by ``b``-order, in one
+    kernel pass: J(z; a, b) is the kernel's sum at s = 1 and displacement
+    (a, -b) (substitute n -> -n), so the odd ``b``-partials change sign."""
+    partials = _lattice_sum(1, z, a, -b, order, trunc, math)
+    return tuple(p if q % 2 == 0 else -p for q, p in enumerate(partials))
 
 
 def hessian_universal(
@@ -425,31 +328,14 @@ class CriticalPointReport:
         return None
 
 
-def _grad(z, a, b, trunc):
-    d = Displacement(a, b)
-    return (
-        j_eval(z, d, 1, 0, trunc),
-        j_eval(z, d, 0, 1, trunc),
-    )
-
-
-def _hess(z, a, b, trunc):
-    d = Displacement(a, b)
-    return (
-        j_eval(z, d, 2, 0, trunc),
-        j_eval(z, d, 1, 1, trunc),
-        j_eval(z, d, 0, 2, trunc),
-    )
-
-
 def _newton(z, a, b, refine_tol, trunc):
     """Damped Newton for the displacement gradient; returns (a, b, res, ok)."""
-    ga, gb = _grad(z, a, b, trunc)
+    ga, gb = _j_partials(z, a, b, 1, trunc)
     res = math.hypot(ga, gb)
     for _ in range(50):
         if res <= refine_tol:
             return a, b, res, True
-        haa, hab, hbb = _hess(z, a, b, trunc)
+        haa, hab, hbb = _j_partials(z, a, b, 2, trunc)
         det = haa * hbb - hab * hab
         if det == 0.0:
             return a, b, res, False
@@ -458,7 +344,7 @@ def _newton(z, a, b, refine_tol, trunc):
         step = 1.0
         for _ in range(8):
             na, nb = a - step * sa, b - step * sb
-            nga, ngb = _grad(z, na, nb, trunc)
+            nga, ngb = _j_partials(z, na, nb, 1, trunc)
             nres = math.hypot(nga, ngb)
             if nres < res:
                 break
@@ -492,7 +378,7 @@ def critical_census(
     gb = [[0.0] * grid_n for _ in range(grid_n)]
     for i in range(grid_n):
         for j in range(grid_n):
-            ga[i][j], gb[i][j] = _grad(z, i * h, j * h, trunc)
+            ga[i][j], gb[i][j] = _j_partials(z, i * h, j * h, 1, trunc)
 
     seeds = [(d.a, d.b) for d in UNIVERSAL_POINTS.values()]
     for i in range(grid_n):
@@ -522,7 +408,7 @@ def critical_census(
 
     points = []
     for a, b, res, ok in sorted(found):
-        haa, hab, hbb = _hess(z, a, b, trunc)
+        haa, hab, hbb = _j_partials(z, a, b, 2, trunc)
         det = haa * hbb - hab * hab
         if not ok or abs(det) <= 1e-10:
             kind = "degenerate"

@@ -136,8 +136,8 @@ def sigma_bound(j: int, y: float) -> float:
 
 _SQRT3_HALF = math.sqrt(3.0) / 2.0
 # the printed lower-bound triple freezes the tail ratios at y = sqrt(3)/2
-_SIGMA3_REF = None
-_SIGMA4_REF = None
+_SIGMA3_REF = sigma_bound(3, _SQRT3_HALF)
+_SIGMA4_REF = sigma_bound(4, _SQRT3_HALF)
 
 
 def theta_w1_lower(y: float, rho: float) -> float:
@@ -152,10 +152,6 @@ def theta_w1_lower(y: float, rho: float) -> float:
 
 def theta_w2_lower(x: float, y: float, rho: float) -> float:
     """Positivity margin of the dW2/dx bound on the three covering rectangles."""
-    global _SIGMA3_REF, _SIGMA4_REF
-    if _SIGMA3_REF is None:
-        _SIGMA3_REF = sigma_bound(3, _SQRT3_HALF)
-        _SIGMA4_REF = sigma_bound(4, _SQRT3_HALF)
     m2 = mu(y / 2)
     weight = 4 + 4 * rho + 2 * _SIGMA3_REF + 2 * rho * _SIGMA4_REF
     return (1 - m2) - weight * math.cos(math.pi * x) * math.exp(-1.5 * math.pi * y) * (1 + m2)
@@ -585,23 +581,37 @@ def _suite_identities(trunc: SeriesTruncation) -> List[CheckRow]:
     return rows
 
 
+#: The source's printed constants, for the thresholds suite and command.
+STATED_VALUES = {
+    "rho1": 0.04016680351,
+    "rho2": 1.190861337,
+    "sigma2b": 24.89618074,
+    "alpha0": 0.1726645,
+    "theta_alpha0": 1.186248384,
+    "alpha0_rough_bound": 0.2419435012,
+    "alpha1": 0.3732155067,
+    "alpha2": 0.9256496973,
+}
+
+
 def _suite_thresholds(trunc: SeriesTruncation) -> List[CheckRow]:
     from .phase_diagram import alpha_thresholds, solve_alpha0
 
     th = thresholds(trunc)
     a1, a2 = alpha_thresholds(trunc)
     alpha0 = solve_alpha0(trunc)
+    ref = STATED_VALUES
     return [
-        _row("rho1", 0.04016680351, th.rho1, 1e-9),
-        _row("rho2", 1.190861337, th.rho2, 1e-8),
-        _row("sigma2b", 24.89618074, th.sigma2b, 1e-6),
+        _row("rho1", ref["rho1"], th.rho1, 1e-9),
+        _row("rho2", ref["rho2"], th.rho2, 1e-8),
+        _row("sigma2b", ref["sigma2b"], th.sigma2b, 1e-6),
         _row("sigma1b_reciprocal", 1.0, th.sigma1b * th.rho2, 1e-12),
         _row("sigma2b_reciprocal", 1.0, th.sigma2b * th.rho1, 1e-12),
-        _row("alpha1", 0.3732155067, a1, 1e-8),
-        _row("alpha2", 0.9256496973, a2, 1e-8),
-        _row("alpha0", 0.1726645, alpha0.alpha0, 1e-5),
-        _row("theta_alpha0", 1.186248384, alpha0.theta_alpha0, 1e-7),
-        _row("alpha0_rough_bound", 0.2419435012, alpha0.rough_bound, 1e-8),
+        _row("alpha1", ref["alpha1"], a1, 1e-8),
+        _row("alpha2", ref["alpha2"], a2, 1e-8),
+        _row("alpha0", ref["alpha0"], alpha0.alpha0, 1e-5),
+        _row("theta_alpha0", ref["theta_alpha0"], alpha0.theta_alpha0, 1e-7),
+        _row("alpha0_rough_bound", ref["alpha0_rough_bound"], alpha0.rough_bound, 1e-8),
     ]
 
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 
+import mpmath
 import pytest
 
 from latticetheta.cli import (
@@ -130,6 +131,12 @@ class TestEval:
         assert code == 0
         (row,) = rows_of(out)
         assert row["value"].startswith("1.1803405990160962260453")
+
+    def test_extended_precision_leaves_mpmath_precision_alone(self, capsys):
+        with mpmath.workdps(17):
+            for argv in (("eval", "theta"), ("thresholds",)):
+                code, _, _ = run(capsys, *argv, "--precision", "extended")
+                assert code == 0 and mpmath.mp.dps == 17
 
     def test_extended_precision_unavailable_for_j(self, capsys):
         code, _, err = run(

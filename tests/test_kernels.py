@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 
 from latticetheta import (
     DEFAULT_TRUNCATION,
+    Displacement,
     DomainError,
     HalfPlanePoint,
     SeriesTruncation,
     TruncationError,
+    j_eval,
     jacobi_theta,
     tail_bound,
     theta1d,
@@ -257,6 +259,65 @@ def test_theta2d_domain_errors():
         HalfPlanePoint(math.nan, 1.0)
 
 
+def plain_sum(s, x, y, a=0.0, b=0.0, da=0, db=0):
+    """sum_{m,n} e^{-s pi |m z - n|^2 / y} (2 pi m)^da (2 pi n)^db times the
+    matching derivative of cos(2 pi (m a + n b)), at 30 digits.
+
+    At a = b = 0 and da = db = 0 this is theta(s; z); at s = 1 it is J(z; a, b)
+    and its displacement partials.  Each row m keeps the n within
+    sqrt(40 y / (s pi)) of m x, and the rows end at s pi y m^2 > 40.
+    """
+    with mp.workdps(30):
+        x, y, a, b = mp.mpf(x), mp.mpf(y), mp.mpf(a), mp.mpf(b)
+        reach = 40 / (s * mp.pi)
+        rows, spread = int(mp.sqrt(reach / y)) + 1, int(mp.sqrt(reach * y)) + 1
+        total = mp.mpf(0)
+        for m in range(-rows, rows + 1):
+            centre = int(mp.nint(m * x))
+            for n in range(centre - spread, centre + spread + 1):
+                w = mp.exp(-s * mp.pi * ((m * x - n) ** 2 / y + m * m * y))
+                phase = 2 * mp.pi * (m * a + n * b)
+                trig = (mp.cos(phase), -mp.sin(phase), -mp.cos(phase))[da + db]
+                total += w * (2 * mp.pi * m) ** da * (2 * mp.pi * n) ** db * trig
+        return float(total)
+
+
+# far below the fundamental domain, far above it, and far to either side
+EXTREME_POINTS = [
+    (0.3, 1e-3, 0.23, 0.61),
+    (-0.41, 1e-3, 0.77, 0.14),
+    (0.2, 1e4, 0.37, 0.004),
+    (50.3, 0.8, 0.23, 0.61),
+    (-49.85, 1.7, 0.77, 0.14),
+]
+
+
+@pytest.mark.parametrize("x,y,a,b", EXTREME_POINTS)
+def test_lattice_kernel_at_extreme_points(x, y, a, b):
+    z = HalfPlanePoint(x, y)
+    for s in (1.0, 2.0):
+        assert theta2d(s, z) == pytest.approx(plain_sum(s, x, y), rel=1e-12)
+        shifted = plain_sum(s, (x + 1) / 2, y / 2)
+        assert theta2d_shifted(s, z) == pytest.approx(shifted, rel=1e-12)
+    d = Displacement(a, b)
+    for da, db in [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]:
+        want = plain_sum(1.0, x, y, a, b, da, db)
+        assert j_eval(z, d, da, db) == pytest.approx(want, rel=1e-11, abs=1e-11)
+
+
+def test_lattice_kernel_raises_when_max_index_cannot_certify():
+    z = HalfPlanePoint(0.3, 1.4)
+    tight = SeriesTruncation(max_index=1, tail_tol=1e-13)
+    with pytest.raises(TruncationError) as exc:
+        theta2d(1.0, z, tight)
+    # the achieved bound is the one tail_bound reports for the index-1 ellipse
+    assert exc.value.achieved_bound == tail_bound("lattice", 1, s=1.0, x=0.3, y=1.4)
+    assert 1e-13 < exc.value.achieved_bound < math.inf
+    with pytest.raises(TruncationError) as exc:
+        j_eval(z, Displacement(0.2, 0.7), 1, 1, tight)
+    assert exc.value.achieved_bound == tail_bound("lattice", 1, x=0.3, y=1.4, order=2)
+
+
 # ---------------------------------------------------------------------------
 # tail bounds
 
@@ -267,7 +328,7 @@ def test_tail_bound_monotone_in_N():
         ("jacobi", {"y": 1.4, "order": 3, "theta_kind": "two"}),
         ("theta1d", {"X": 1.1}),
         ("theta1d", {"X": 2.0, "dY_order": 1}),
-        ("theta2d_rows", {"s": 1.0, "y": 0.9}),
+        ("lattice", {"s": 1.0, "y": 0.9}),
     ]:
         bounds = [tail_bound(kind, N, **params) for N in range(1, 12)]
         finite = [b for b in bounds if math.isfinite(b)]
@@ -285,6 +346,39 @@ def test_tail_bound_dominates_actual_error():
                 assert float(true_tail) <= tail_bound("jacobi", N, y=y)
 
 
+def lattice_discarded(N, s, x, y, b, order):
+    """Largest discarded tail, over the partials of ``order``, of the
+    Poisson-summed lattice sum at a point of the fundamental domain once it
+    keeps the index-N ellipse, summed term by term in absolute value."""
+    alpha, beta = s * mp.pi * y, mp.pi * y / s
+    r2 = N * N * mp.pi * y * min(s, 1 / s)
+    h = 2 * mp.pi * y / s
+    rows, spread = int(mp.sqrt(90 / alpha)) + 1, int(mp.sqrt(90 / beta)) + 2
+    tails = [mp.mpf(0)] * (order + 1)
+    for m in range(-rows, rows + 1):
+        for k in range(-spread, spread + 1):
+            d = b + k
+            q = alpha * m * m + beta * d * d
+            if q <= r2:
+                continue
+            # a term's factors: 2 pi i m per a, -v per b, and d/db v = h
+            u, v = 2 * mp.pi * m, mp.mpc(2 * mp.pi * y * d / s, 2 * mp.pi * m * x)
+            weights = [(1,), (abs(u), abs(v)), (u * u, abs(u * v), abs(v * v - h))][order]
+            for p, w in enumerate(weights):
+                tails[p] += w * mp.exp(-q)
+    return mp.sqrt(y / s) * max(tails)
+
+
+def test_lattice_tail_bound_dominates_actual_error():
+    with mp.workdps(40):
+        for s, x, y, b in [(1.0, 0.0, 1.0, 0.0), (2.0, 0.4, 0.95, 0.3), (0.5, -0.3, 2.5, 0.45)]:
+            for order in (0, 1, 2):
+                for N in (1, 2, 3, 5):
+                    true_tail = lattice_discarded(N, s, x, y, b, order)
+                    bound = tail_bound("lattice", N, s=s, x=x, y=y, order=order)
+                    assert float(true_tail) <= bound
+
+
 def test_tail_bound_rejects_bad_input():
     with pytest.raises(DomainError):
         tail_bound("jacobi", 0, y=1.0)
@@ -292,6 +386,8 @@ def test_tail_bound_rejects_bad_input():
         tail_bound("jacobi", 3, y=-1.0)
     with pytest.raises(DomainError):
         tail_bound("nonsense", 3, y=1.0)
+    with pytest.raises(DomainError):
+        tail_bound("lattice", 3, y=1.0, order=3)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latticetheta.halfplane import IDENTITY, INVERSION, REFLECTION, TRANSLATION, apply, compose
 from latticetheta.kernels import (
     DomainError,
     HalfPlanePoint,
@@ -130,6 +131,31 @@ class TestJEval:
     def test_periodicity_in_displacement(self, z, d):
         shifted = Displacement(d.a + 3.0, d.b - 2.0)
         assert j_eval(z, shifted) == pytest.approx(j_eval(z, d), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        points,
+        displacements,
+        st.lists(st.sampled_from([INVERSION, TRANSLATION, REFLECTION]), max_size=6),
+    )
+    def test_transformation_law(self, z, d, gens):
+        """J(z; a, b) = J(w z; M (a, b)) with M = (A, -sign B; -C, sign D), sign = -1
+        for a reflecting word: substitute (m, n) -> (m, n) (A, B; C, D)^{-1} in
+        the sum; the reflection z -> -conj(z) flips b.  The gradient moves by M^T."""
+        w = IDENTITY
+        for g in gens:
+            w = compose(g, w)
+        A, B, C, D = w.matrix
+        sign = -1 if w.reflect else 1
+        moved = apply(w, z)
+        carried = Displacement(A * d.a - sign * B * d.b, -C * d.a + sign * D * d.b)
+        ga, gb = j_eval(moved, carried, 1, 0), j_eval(moved, carried, 0, 1)
+        scale = 1 + abs(A) + abs(B) + abs(C) + abs(D)
+        assert j_eval(z, d) == pytest.approx(j_eval(moved, carried), rel=1e-10, abs=1e-12)
+        assert j_eval(z, d, 1, 0) == pytest.approx(A * ga - C * gb, rel=1e-9, abs=1e-10 * scale)
+        assert j_eval(z, d, 0, 1) == pytest.approx(
+            sign * (D * gb - B * ga), rel=1e-9, abs=1e-10 * scale
+        )
 
     def test_universal_points_are_critical(self):
         rng = random.Random(11)
