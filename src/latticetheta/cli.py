@@ -22,11 +22,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from .functionals import (
     FunctionalKind,
     NoRootError,
+    _quotient_thresholds,
     minimizer,
     thresholds,
     w_eval,
-    xyab,
-    XYABKind,
 )
 from .kernels import (
     DEFAULT_TRUNCATION,
@@ -182,9 +181,7 @@ def cmd_thresholds(args: argparse.Namespace) -> Tuple[List[Dict[str, Any]], int]
         th = thresholds(trunc)
         rho1, rho2 = th.rho1, th.rho2
     else:
-        # the quotient thresholds from the second derivatives at y = 1
-        rho1 = float(-xyab(XYABKind.Y, 1.0, 2, trunc, ctx) / (2 * xyab(XYABKind.X, 1.0, 2, trunc, ctx)))
-        rho2 = float(-1 - xyab(XYABKind.B, 1.0, 2, trunc, ctx) / xyab(XYABKind.A, 1.0, 2, trunc, ctx))
+        rho1, rho2 = _quotient_thresholds(trunc, ctx)
     # the band edges follow from the thresholds by the weight substitution
     alpha1 = rho2 / (rho2 + 2)
     alpha2 = 1 / (1 + 2 * rho1)

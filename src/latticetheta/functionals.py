@@ -11,7 +11,9 @@ of four building blocks::
 namely  W1,rho(iy) = Y(y)/2 + rho X(y)  and  sqrt(2) W2,rho(iy) =
 (1 + rho) A(y) + B(y).  The stationarity equations along the axis are the
 quotient equations Y'/X' + c = 0 and 1 + B'/A' + c = 0, whose unique roots in
-(1, sqrt(3)] are produced by :func:`solve_y_branch`.  Note the factor two:
+(1, sqrt(3)] are produced by :func:`solve_y_branch` with the bracketed
+Illinois false-position routine that also finds the phase diagram's alpha0.
+Note the factor two:
 the W1 segment minimizer at weight rho is the root for c = 2 rho, because
 differentiating Y/2 + rho X gives Y'/X' = -2 rho.
 
@@ -34,7 +36,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Any, Tuple
+from typing import Any, Callable, Tuple
 
 from .halfplane import on_trajectory
 from .kernels import (
@@ -67,7 +69,6 @@ __all__ = [
 SQRT3 = math.sqrt(3.0)
 
 _BRACKET_LO = 1.0 + 1e-9
-_BISECT_WIDTH = 1e-6
 _POLISH_RESIDUAL = 1e-12
 
 
@@ -119,11 +120,12 @@ class TrajectoryPoint:
 
 
 def _faa_di_bruno_inverse_arg(derivs, beta: float, y: float, order: int):
-    """Derivatives of g(y) = f(beta / y) from those of f, up to order 4."""
+    """Derivatives 0..order (order <= 4) of g(y) = f(beta / y) from those of f."""
     u = [0.0] * 5  # u[k] = k-th derivative of beta / y
     for k in range(1, 5):
         u[k] = beta * (-1) ** k * math.factorial(k) / y ** (k + 1)
-    f1, f2, f3, f4 = derivs[1], derivs[2], derivs[3], derivs[4]
+    # g[k] reads only derivs[:k+1], so the padding never reaches the result
+    f1, f2, f3, f4 = (list(derivs[1:]) + [0.0] * 4)[:4]
     g = [derivs[0], 0.0, 0.0, 0.0, 0.0]
     g[1] = f1 * u[1]
     g[2] = f2 * u[1] ** 2 + f1 * u[2]
@@ -151,7 +153,7 @@ def _pair_derivative(
     f = [
         jacobi_theta(kind1, alpha * y, j, trunc, ctx) * alpha**j for j in range(order + 1)
     ]
-    inner = [jacobi_theta(kind2, beta / y, j, trunc, ctx) for j in range(5)]
+    inner = [jacobi_theta(kind2, beta / y, j, trunc, ctx) for j in range(order + 1)]
     g = _faa_di_bruno_inverse_arg(inner, beta, y, order)
     return sum(math.comb(order, i) * f[i] * g[order - i] for i in range(order + 1))
 
@@ -186,6 +188,17 @@ def xyab(
 # thresholds
 
 
+def _quotient_thresholds(trunc: SeriesTruncation, ctx: Any) -> Tuple[float, float]:
+    """(rho1, rho2) = (-Y''(1)/(2 X''(1)), -1 - B''(1)/A''(1)) in binary64,
+    with the building blocks evaluated in ``ctx``."""
+    x2 = xyab(XYABKind.X, 1.0, 2, trunc, ctx)
+    y2 = xyab(XYABKind.Y, 1.0, 2, trunc, ctx)
+    a2 = xyab(XYABKind.A, 1.0, 2, trunc, ctx)
+    b2 = xyab(XYABKind.B, 1.0, 2, trunc, ctx)
+    return float(-y2 / (2 * x2)), float(-1 - b2 / a2)
+
+
+# ctx stays out of the cache key: mpmath.mp is one object at every precision
 @functools.lru_cache(maxsize=8)
 def thresholds(trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> Thresholds:
     """Quotient thresholds from the second derivatives at y = 1 (cached).
@@ -193,12 +206,7 @@ def thresholds(trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> Thresholds:
     rho1 = -Y''(1)/(2 X''(1)) and rho2 = -1 - B''(1)/A''(1); the sigma fields
     are filled by the reciprocal relations of the trajectory theorems.
     """
-    x2 = xyab(XYABKind.X, 1.0, 2, trunc)
-    y2 = xyab(XYABKind.Y, 1.0, 2, trunc)
-    a2 = xyab(XYABKind.A, 1.0, 2, trunc)
-    b2 = xyab(XYABKind.B, 1.0, 2, trunc)
-    rho1 = -y2 / (2 * x2)
-    rho2 = -1 - b2 / a2
+    rho1, rho2 = _quotient_thresholds(trunc, math)
     return Thresholds(
         rho1=rho1,
         rho2=rho2,
@@ -229,16 +237,6 @@ def w_eval(
     raise DomainError(f"unknown functional {kind!r}")
 
 
-def _branch_residual(kind: FunctionalKind, y: float, c: float, trunc: SeriesTruncation) -> float:
-    if kind is FunctionalKind.W1:
-        num = xyab(XYABKind.Y, y, 1, trunc)
-        den = xyab(XYABKind.X, y, 1, trunc)
-        return num / den + c
-    num = xyab(XYABKind.B, y, 1, trunc)
-    den = xyab(XYABKind.A, y, 1, trunc)
-    return 1 + num / den + c
-
-
 def _branch_window(kind: FunctionalKind, trunc: SeriesTruncation) -> float:
     th = thresholds(trunc)
     return 2 * th.rho1 if kind is FunctionalKind.W1 else th.rho2
@@ -252,12 +250,12 @@ def solve_y_branch(
     """Root in (1, sqrt(3)] of Y'/X' + c = 0 (W1) or 1 + B'/A' + c = 0 (W2).
 
     The quotient is strictly increasing on (1, infinity), so the root is
-    unique.  Bracketed bisection down to width 1e-6, then secant polish
-    aiming at residual 1e-12 (near the top of the window the quotient's
-    float noise can exceed that; the polish then stops at a stationary
-    iterate).  ``c`` must lie in [0, window) where the window is 2*rho1 for
-    W1 and rho2 for W2; past the window there is no root and the minimizer
-    sits at the corner.
+    unique.  :func:`_bracketed_root` runs on [1 + 1e-9, sqrt(3)] until the
+    residual is at most 1e-12 (near the top of the window the quotient's
+    float noise can exceed that; the search then stops when the bracket is
+    a few ulps wide).  ``c`` must lie in [0, window) where the window is
+    2*rho1 for W1 and rho2 for W2; past the window there is no root and the
+    minimizer sits at the corner.
     """
     if not c >= 0:
         raise DomainError(f"solve_y_branch needs c >= 0, got {c}")
@@ -269,7 +267,11 @@ def solve_y_branch(
             f"{_branch_window(kind, trunc):.12f}; no segment root exists"
         )
 
-    f = lambda t: _branch_residual(kind, t, c, trunc)
+    # every iterate lies above _BRACKET_LO, clear of quotient's L'Hopital branch
+    if kind is FunctionalKind.W1:
+        f = lambda t: quotient("ZofXY", t, trunc) + c
+    else:
+        f = lambda t: 1 + quotient("CofAB", t, trunc) + c
     lo, hi = _BRACKET_LO, SQRT3
     flo, fhi = f(lo), f(hi)
     if not flo < 0 < fhi:
@@ -277,29 +279,35 @@ def solve_y_branch(
             f"{kind.value}: no sign change on the bracket for c = {c} "
             f"(f(lo) = {flo:.3e}, f(hi) = {fhi:.3e})"
         )
-    while hi - lo > _BISECT_WIDTH:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm < 0:
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
+    return _bracketed_root(f, lo, flo, hi, fhi, _POLISH_RESIDUAL)
 
-    a, fa, b, fb = lo, flo, hi, fhi
-    for _ in range(60):
-        if abs(fb) <= _POLISH_RESIDUAL:
-            return b
-        if fb == fa:
-            break
-        step = fb * (b - a) / (fb - fa)
-        a, fa = b, fb
-        b = b - step
-        if not (1.0 < b <= SQRT3 + 1e-9):
-            b = 0.5 * (lo + hi)  # secant escaped: fall back into the bracket
-        fb = f(b)
-        if b == a:
-            break
-    return b
+
+def _bracketed_root(
+    f: Callable[[float], float], a: float, fa: float, b: float, fb: float, ftol: float
+) -> float:
+    """Root of ``f`` between ``a`` and ``b``, where ``fa`` and ``fb`` differ in sign.
+
+    Illinois false position (M. Dowell and P. Jarratt, BIT 11, 1971): each
+    step interpolates the stored end values and replaces the end whose sign
+    the new value shares, so the bracket is always kept; an end kept twice
+    in a row has its stored value halved, and a step that rounds onto an end
+    falls back to the midpoint.  Stops once an end has |f| <= ``ftol`` or
+    the bracket is a few ulps wide, and returns the end with the smaller |f|.
+    """
+    wa = wb = 1.0  # the halvings of the stored end values
+    kept = None
+    while abs(fa) > ftol and abs(fb) > ftol and abs(b - a) > 4 * math.ulp(max(abs(a), abs(b))):
+        x = b - wb * fb * (b - a) / (wb * fb - wa * fa)
+        if not min(a, b) < x < max(a, b):
+            x = 0.5 * (a + b)
+        fx = f(x)
+        if (fx < 0) == (fb < 0):
+            b, fb, wb = x, fx, 1.0
+            wa, kept = (0.5 * wa if kept == "a" else wa), "a"
+        else:
+            a, fa, wa = x, fx, 1.0
+            wb, kept = (0.5 * wb if kept == "b" else wb), "b"
+    return a if abs(fa) <= abs(fb) else b
 
 
 def minimizer(

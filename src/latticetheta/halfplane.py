@@ -79,8 +79,9 @@ class MoebiusWord:
 
     The action is ``z -> (a z' + b)/(c z' + d)`` where ``z' = -conj(z)`` if
     ``reflect`` is set and ``z' = z`` otherwise.  ``gens`` records the
-    generator sequence that built the word (most recent first); it is for
-    debugging only and does not participate in equality.
+    generator sequence that built the word (most recent first), with a run
+    of translations as one power such as ``"T^-3"``; it is for debugging
+    only and does not participate in equality.
     """
 
     matrix: Tuple[int, int, int, int] = (1, 0, 0, 1)
@@ -167,7 +168,7 @@ def reduce(z: HalfPlanePoint, group: GroupId) -> Tuple[HalfPlanePoint, MoebiusWo
         if k:
             x += k
             a, b = a + k * c, b + k * d
-            gens.extend([f"{label}^{'-' if k < 0 else ''}1"] * (abs(k) // step))
+            gens.append(f"{label}^{k // step}")
         if reflective and x < 0:
             x = -x
             b, c, reflect = -b, -c, not reflect

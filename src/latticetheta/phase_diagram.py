@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
-from .functionals import FunctionalKind, minimizer, thresholds
+from .functionals import FunctionalKind, _bracketed_root, minimizer, thresholds
 from .kernels import (
     DEFAULT_TRUNCATION,
     DomainError,
@@ -259,9 +259,11 @@ class Alpha0Result(NamedTuple):
 def solve_alpha0(trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> Alpha0Result:
     """Coupling below which the displaced hexagonal state beats the rhombic one.
 
-    Solves  theta(1; z0) + alpha J(z0; 1/3, 1/3) = E_rhombic(alpha)  by
-    bisection; the right-hand side is the optimal-lattice energy at
-    displacement (1/2, 1/2).  Also returns the first-order upper bound
+    Solves  theta(1; z0) + alpha J(z0; 1/3, 1/3) = E_rhombic(alpha)  on the
+    bracket [0.10, 0.24] down to a few ulps, by the Illinois false position
+    that also serves :func:`~latticetheta.functionals.solve_y_branch`; the
+    right-hand side is the optimal-lattice energy at displacement (1/2, 1/2).
+    Also returns the first-order upper bound
 
         (theta(1; i) - theta(1; z0)) / (J(z0; 1/3, 1/3) - J(i; 1/2, 1/2)),
 
@@ -278,19 +280,9 @@ def solve_alpha0(trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> Alpha0Result:
     glo, ghi = gap(lo), gap(hi)
     if not glo * ghi < 0:
         raise ArithmeticError(
-            f"alpha0 bisection bracket failed: gap({lo}) = {glo:.3e}, gap({hi}) = {ghi:.3e}"
+            f"alpha0 bracket failed: gap({lo}) = {glo:.3e}, gap({hi}) = {ghi:.3e}"
         )
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        gm = gap(mid)
-        if gm == 0.0:
-            lo = hi = mid
-            break
-        if (gm < 0) == (glo < 0):
-            lo, glo = mid, gm
-        else:
-            hi, ghi = mid, gm
-    alpha0 = 0.5 * (lo + hi)
+    alpha0 = _bracketed_root(gap, lo, glo, hi, ghi, 0.0)
 
     square = HalfPlanePoint(0.0, 1.0)
     rough = (theta2d(1, square, trunc) - t_hex) / (

@@ -18,6 +18,7 @@ from latticetheta import (
     HalfPlanePoint,
     cayley,
     compose,
+    functionals,
     theta2d,
     theta2d_shifted,
 )
@@ -83,6 +84,18 @@ def test_xyab_derivatives_match_mpmath(which, order):
     for y in (0.8, 1.0, 1.4):
         ref = mp_xyab(which, y, order)
         assert xyab(which, y, order) == pytest.approx(ref, rel=1e-8, abs=1e-10)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+def test_xyab_evaluates_only_the_theta_derivatives_it_uses(order, monkeypatch):
+    """X = theta_3(y) theta_3(1/y) needs orders 0..order of each factor."""
+    calls = []
+    original = functionals.jacobi_theta
+    monkeypatch.setattr(
+        functionals, "jacobi_theta", lambda *args: calls.append(args) or original(*args)
+    )
+    xyab(X, 1.3, order)
+    assert len(calls) == 2 * (order + 1)
 
 
 @given(ys)
@@ -267,12 +280,28 @@ def test_branch_root_at_zero_weight():
     assert solve_y_branch(W2, 0.0) == pytest.approx(SQRT3, abs=1e-10)
 
 
-@pytest.mark.parametrize("kind,cs", [(W1, (0.02, 0.04, 0.07)), (W2, (0.3, 0.6, 1.0))])
-def test_branch_root_residuals(kind, cs):
+@pytest.mark.parametrize(
+    "kind,cs",
+    [(W1, (0.02, 0.04, 0.07)), (W2, (0.3, 0.6, 1.0)), (W1, "window edge"), (W2, "window edge")],
+)
+def test_branch_root_residuals(kind, cs, monkeypatch):
     qkind = "ZofXY" if kind is W1 else "CofAB"
     offset = 0.0 if kind is W1 else 1.0
+    th = thresholds(functionals.DEFAULT_TRUNCATION)  # the key solve_y_branch uses
+    window = 2 * th.rho1 if kind is W1 else th.rho2
+    # building-block evaluations per solve; at the window's edge the residual
+    # is flat near y = 1, and false position needs about 15 steps there
+    budget = 30
+    if cs == "window edge":
+        cs, budget = (window * (1 - 1e-6),), 40  # the root sits just above y = 1
+    calls = []
+    counted = lambda *args, **kwargs: calls.append(args) or xyab(*args, **kwargs)
     for c in cs:
-        y = solve_y_branch(kind, c)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(functionals, "xyab", counted)
+            y = solve_y_branch(kind, c)
+        assert len(calls) <= budget
         assert 1.0 < y <= SQRT3
         assert abs(quotient(qkind, y) + offset + c) <= 1e-12
 

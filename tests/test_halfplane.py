@@ -160,6 +160,17 @@ def test_reduce_circle_ties_prefer_right_half():
         assert abs(abs(p) - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "group,label",
+    [(GroupId.Gamma, "T^-1000000"), (GroupId.G1, "T^-1000000"), (GroupId.G2, "T2^-500000")],
+)
+def test_reduce_records_a_translation_run_as_one_power(group, label):
+    p, w = reduce(HalfPlanePoint(1e6, 1.0), group)
+    assert close(p, HalfPlanePoint(0.0, 1.0))
+    assert w.matrix == (1, -1_000_000, 0, 1) and not w.reflect
+    assert w.gens == (label,)
+
+
 def test_reduce_rejects_bad_group():
     with pytest.raises(DomainError):
         reduce(HalfPlanePoint(0, 1), "G1")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latticetheta import phase_diagram
 from latticetheta.halfplane import IDENTITY, INVERSION, REFLECTION, TRANSLATION, apply, compose
 from latticetheta.kernels import (
     DomainError,
@@ -342,10 +343,18 @@ class TestOptimalLattice:
 
 
 class TestAlpha0:
-    def test_crossing_value(self):
+    def test_crossing_value(self, monkeypatch):
+        calls = []
+        original = phase_diagram.optimal_lattice
+        monkeypatch.setattr(
+            phase_diagram,
+            "optimal_lattice",
+            lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs),
+        )
         res = solve_alpha0()
         assert isinstance(res, Alpha0Result)
         assert res.alpha0 == pytest.approx(ALPHA0, abs=1e-11)
+        assert len(calls) <= 20  # optimal-lattice solves per alpha0
 
     def test_crossing_angle(self):
         assert solve_alpha0().theta_alpha0 == pytest.approx(THETA_ALPHA0, abs=1e-9)
