@@ -198,14 +198,20 @@ def _quotient_thresholds(trunc: SeriesTruncation, ctx: Any) -> Tuple[float, floa
     return float(-y2 / (2 * x2)), float(-1 - b2 / a2)
 
 
-# ctx stays out of the cache key: mpmath.mp is one object at every precision
-@functools.lru_cache(maxsize=8)
 def thresholds(trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> Thresholds:
     """Quotient thresholds from the second derivatives at y = 1 (cached).
 
     rho1 = -Y''(1)/(2 X''(1)) and rho2 = -1 - B''(1)/A''(1); the sigma fields
     are filled by the reciprocal relations of the trajectory theorems.
     """
+    # one positional key per truncation: thresholds() and
+    # thresholds(DEFAULT_TRUNCATION) share a cache entry
+    return _cached_thresholds(trunc)
+
+
+# ctx stays out of the cache key: mpmath.mp is one object at every precision
+@functools.lru_cache(maxsize=8)
+def _cached_thresholds(trunc: SeriesTruncation) -> Thresholds:
     rho1, rho2 = _quotient_thresholds(trunc, math)
     return Thresholds(
         rho1=rho1,
@@ -215,6 +221,10 @@ def thresholds(trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> Thresholds:
         sigma2a=rho2,
         sigma2b=1 / rho1,
     )
+
+
+thresholds.cache_info = _cached_thresholds.cache_info
+thresholds.cache_clear = _cached_thresholds.cache_clear
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .kernels import (
     DomainError,
     HalfPlanePoint,
     SeriesTruncation,
+    TruncationError,
     theta2d,
 )
 
@@ -69,17 +70,33 @@ __all__ = [
 # proof-machinery scalars (the bound kit)
 
 
+_MU_RTOL = 1e-17
+_MU_MAX_INDEX = 100_000
+
+
 def mu(X: float) -> float:
-    """mu(X) = sum_{n>=2} n^2 e^{-pi (n^2-1) X}."""
+    """mu(X) = sum_{n>=2} n^2 e^{-pi (n^2-1) X}, cut by a certified tail.
+
+    The term ratio r_n = ((n+1)/n)^2 e^{-pi (2n+1) X} decreases in n, so once
+    r_n < 1 (past the peak) the tail after term n is at most
+    t_n r_n / (1 - r_n).  The sum stops when that bound is below _MU_RTOL of
+    the total, and raises TruncationError if _MU_MAX_INDEX terms do not get
+    there (X below about 1.3e-9).
+    """
     if not X > 0:
         raise DomainError(f"mu needs X > 0, got {X}")
-    total, n = 0.0, 2
-    while True:
+    total, tail = 0.0, math.inf
+    for n in range(2, _MU_MAX_INDEX + 1):
         term = n * n * math.exp(-math.pi * (n * n - 1) * X)
         total += term
-        if term < 1e-18 * max(total, 1.0) or n > 600:
-            return total
-        n += 1
+        ratio = ((n + 1) / n) ** 2 * math.exp(-math.pi * (2 * n + 1) * X)
+        if ratio < 1:
+            tail = term * ratio / (1 - ratio)
+            if tail <= _MU_RTOL * total:
+                return total
+    raise TruncationError(
+        f"mu({X}) not certified within {_MU_MAX_INDEX} terms", achieved_bound=tail
+    )
 
 
 def under_theta(X: float) -> float:
@@ -217,13 +234,72 @@ def _theta_grid(s: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return total
 
 
-def _w_grid(kind: FunctionalKind, rho: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+def _w_parts(
+    kind: FunctionalKind, xs: np.ndarray, ys: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The rho-free (shifted, plain) theta grids; W = shifted + rho * plain."""
     shifted = _theta_grid(2 if kind is FunctionalKind.W1 else 1, (xs + 1) / 2, ys / 2)
     plain = _theta_grid(1 if kind is FunctionalKind.W1 else 2, xs, ys)
+    return shifted, plain
+
+
+def _w_grid(kind: FunctionalKind, rho: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    shifted, plain = _w_parts(kind, xs, ys)
     return shifted + rho * plain
 
 _Y_CEIL = 3.5
 _Y_CLIP = 0.25
+
+
+class _BruteGrids(NamedTuple):
+    """The mesh of the half-strip, its descent step and one kind's rho-free grids."""
+
+    xgrid: np.ndarray
+    ygrid: np.ndarray
+    step: float
+    shifted: np.ndarray
+    plain: np.ndarray
+
+
+def _brute_grids(kind: FunctionalKind, grid_n: int) -> _BruteGrids:
+    if grid_n < 100:
+        raise DomainError(f"brute grid must have at least 100 points, got {grid_n}")
+    xs = np.linspace(0.0, 1.0, grid_n)
+    floor = np.maximum(np.sqrt(np.clip(1.0 - xs * xs, 0.0, None)), _Y_CLIP)
+    ts = np.linspace(0.0, 1.0, grid_n)[:, None]
+    ygrid = floor[None, :] + (_Y_CEIL - floor[None, :]) * ts
+    xgrid = np.broadcast_to(xs[None, :], ygrid.shape)
+    step = max(1.0 / grid_n, (_Y_CEIL - float(np.min(floor))) / grid_n)
+    return _BruteGrids(xgrid, ygrid, step, *_w_parts(kind, xgrid, ygrid))
+
+
+def _grid_descent(
+    kind: FunctionalKind, rho: float, grids: _BruteGrids, trunc: SeriesTruncation
+) -> Tuple[HalfPlanePoint, float]:
+    """Seed at the grid argmin of shifted + rho * plain, then descend."""
+    flat = int(np.argmin(grids.shifted + rho * grids.plain))
+    x, y = float(grids.xgrid.flat[flat]), float(grids.ygrid.flat[flat])
+
+    def project(px: float, py: float) -> Tuple[float, float]:
+        px = min(max(px, 0.0), 1.0)
+        lo = max(math.sqrt(max(1.0 - px * px, 0.0)), _Y_CLIP)
+        return px, min(max(py, lo), _Y_CEIL)
+
+    def value_at(px: float, py: float) -> float:
+        return w_eval(kind, rho, HalfPlanePoint(px, py), trunc)
+
+    best = value_at(x, y)
+    step = grids.step
+    while step > 1e-12:
+        moved = False
+        for dx, dy in ((step, 0), (-step, 0), (0, step), (0, -step)):
+            px, py = project(x + dx, y + dy)
+            cand = value_at(px, py)
+            if cand < best - 1e-16:
+                x, y, best, moved = px, py, cand, True
+        if not moved:
+            step /= 2
+    return HalfPlanePoint(x, y), best
 
 
 def brute_minimize(
@@ -237,39 +313,11 @@ def brute_minimize(
     The mesh covers x in [0, 1], y from the unit circle (clipped below at
     0.25) up to 3.5; the best node seeds a coordinate descent with halving
     steps, projected back into the region, using the certified scalar
-    evaluator.
+    evaluator.  The two theta grids do not depend on rho (W = shifted +
+    rho * plain); a single call builds them for its one weight, while the
+    oracle suite builds them once per kind and reuses them for every weight.
     """
-    if grid_n < 100:
-        raise DomainError(f"brute grid must have at least 100 points, got {grid_n}")
-    xs = np.linspace(0.0, 1.0, grid_n)
-    floor = np.maximum(np.sqrt(np.clip(1.0 - xs * xs, 0.0, None)), _Y_CLIP)
-    ts = np.linspace(0.0, 1.0, grid_n)[:, None]
-    ygrid = floor[None, :] + (_Y_CEIL - floor[None, :]) * ts
-    xgrid = np.broadcast_to(xs[None, :], ygrid.shape)
-    values = _w_grid(kind, rho, xgrid, ygrid)
-    flat = int(np.argmin(values))
-    x, y = float(xgrid.flat[flat]), float(ygrid.flat[flat])
-
-    def project(px: float, py: float) -> Tuple[float, float]:
-        px = min(max(px, 0.0), 1.0)
-        lo = max(math.sqrt(max(1.0 - px * px, 0.0)), _Y_CLIP)
-        return px, min(max(py, lo), _Y_CEIL)
-
-    def value_at(px: float, py: float) -> float:
-        return w_eval(kind, rho, HalfPlanePoint(px, py), trunc)
-
-    best = value_at(x, y)
-    step = max(1.0 / grid_n, (_Y_CEIL - float(np.min(floor))) / grid_n)
-    while step > 1e-12:
-        moved = False
-        for dx, dy in ((step, 0), (-step, 0), (0, step), (0, -step)):
-            px, py = project(x + dx, y + dy)
-            cand = value_at(px, py)
-            if cand < best - 1e-16:
-                x, y, best, moved = px, py, cand, True
-        if not moved:
-            step /= 2
-    return HalfPlanePoint(x, y), best
+    return _grid_descent(kind, rho, _brute_grids(kind, grid_n), trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -629,12 +677,18 @@ ORACLE_RHOS = (
 
 
 def _suite_oracle(trunc: SeriesTruncation, grid_n: int = 400) -> List[CheckRow]:
+    """Brute grid minima against the closed-form minimizer at ORACLE_RHOS.
+
+    The mesh and the two rho-free theta grids are built once per kind per
+    call and shared by that kind's six weights; nothing outlives the call.
+    """
     rows = []
     mesh = max(1.0 / grid_n, (_Y_CEIL - _Y_CLIP) / grid_n)
     for kind, rhos in ORACLE_RHOS:
+        grids = _brute_grids(kind, grid_n)
         for rho in rhos:
             closed = minimizer(kind, rho, trunc).z
-            brute, _ = brute_minimize(kind, rho, grid_n, trunc)
+            brute, _ = _grid_descent(kind, rho, grids, trunc)
             dev = max(abs(brute.x - closed.x), abs(brute.y - closed.y))
             rows.append(_row(f"{kind.value}_rho{rho:g}", 0.0, dev, 2 * mesh))
     return rows

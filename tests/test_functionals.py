@@ -170,7 +170,13 @@ def test_threshold_relations_and_ordering():
 
 
 def test_thresholds_cached():
-    assert thresholds() is thresholds()
+    # the default truncation is one cache entry however it is passed
+    thresholds.cache_clear()
+    th = thresholds()
+    assert thresholds() is th
+    assert thresholds(functionals.DEFAULT_TRUNCATION) is th
+    assert thresholds(trunc=functionals.DEFAULT_TRUNCATION) is th
+    assert thresholds.cache_info().currsize == 1
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,13 @@ of the brute grid search.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticetheta import DomainError, HalfPlanePoint
+from latticetheta import DomainError, HalfPlanePoint, TruncationError, verifier
 from latticetheta import polydata
 from latticetheta.functionals import FunctionalKind, XYABKind, minimizer, w_eval, xyab
 from latticetheta.verifier import (
@@ -63,6 +64,19 @@ class TestBoundKit:
         center = 4 * math.pi * math.exp(-math.pi * X)
         assert under_theta(X) <= center <= over_theta(X)
         assert under_theta(X) > 0
+
+    @pytest.mark.parametrize("X", [1e-6, 1e-5, 1e-4, 1e-3, 0.125])
+    def test_mu_matches_a_30_digit_sum(self, X):
+        # below X = 3.3e-5 the sum runs past n = 600 before its tail is small
+        with mpmath.workdps(30):
+            Xm = mpmath.mpf(X)
+            terms = (n * n * mpmath.exp(-mpmath.pi * (n * n - 1) * Xm) for n in range(2, 6000))
+            ref = mpmath.fsum(terms)
+        assert mu(X) == pytest.approx(float(ref), rel=1e-13)
+
+    def test_mu_raises_when_its_tail_cannot_be_certified(self):
+        with pytest.raises(TruncationError):
+            mu(1e-12)
 
     def test_envelope_pair_needs_large_argument(self):
         with pytest.raises(DomainError):
@@ -482,6 +496,26 @@ class TestSuites:
     def test_oracle_suite_passes_on_a_modest_grid(self):
         rows = run_suite("oracle", grid_n=110)
         assert len(rows) == 12
+        assert all(r.passed for r in rows)
+
+    def test_oracle_suite_builds_each_grid_once(self, monkeypatch):
+        # the two rho-free grids per kind are shared by that kind's six weights
+        calls = []
+        theta_grid = verifier._theta_grid
+        counted = lambda *args: calls.append(args[0]) or theta_grid(*args)
+        monkeypatch.setattr(verifier, "_theta_grid", counted)
+        rows = run_suite("oracle", grid_n=100)
+        assert len(calls) == 4
+        monkeypatch.setattr(verifier, "_theta_grid", theta_grid)
+        tol = 2 * max(1.0 / 100, 3.25 / 100)
+        expected = []
+        for kind, rhos in verifier.ORACLE_RHOS:
+            for rho in rhos:
+                closed = minimizer(kind, rho).z
+                brute, _ = brute_minimize(kind, rho, 100)
+                dev = max(abs(brute.x - closed.x), abs(brute.y - closed.y))
+                expected.append((f"{kind.value}_rho{rho:g}", 0.0, dev, tol))
+        assert [tuple(r[:4]) for r in rows] == expected
         assert all(r.passed for r in rows)
 
     def test_all_concatenates(self):
