@@ -44,7 +44,7 @@ from .kernels import (
     DomainError,
     HalfPlanePoint,
     SeriesTruncation,
-    jacobi_theta,
+    _jacobi_jet,
     theta2d,
     theta2d_shifted,
 )
@@ -70,6 +70,7 @@ SQRT3 = math.sqrt(3.0)
 
 _BRACKET_LO = 1.0 + 1e-9
 _POLISH_RESIDUAL = 1e-12
+_EXPANSION_RADIUS = 3e-5
 
 
 class NoRootError(ArithmeticError):
@@ -119,42 +120,22 @@ class TrajectoryPoint:
 # building blocks
 
 
-def _faa_di_bruno_inverse_arg(derivs, beta: float, y: float, order: int):
-    """Derivatives 0..order (order <= 4) of g(y) = f(beta / y) from those of f."""
-    u = [0.0] * 5  # u[k] = k-th derivative of beta / y
-    for k in range(1, 5):
-        u[k] = beta * (-1) ** k * math.factorial(k) / y ** (k + 1)
-    # g[k] reads only derivs[:k+1], so the padding never reaches the result
-    f1, f2, f3, f4 = (list(derivs[1:]) + [0.0] * 4)[:4]
-    g = [derivs[0], 0.0, 0.0, 0.0, 0.0]
-    g[1] = f1 * u[1]
-    g[2] = f2 * u[1] ** 2 + f1 * u[2]
-    g[3] = f3 * u[1] ** 3 + 3 * f2 * u[1] * u[2] + f1 * u[3]
-    g[4] = (
-        f4 * u[1] ** 4
-        + 6 * f3 * u[1] ** 2 * u[2]
-        + f2 * (3 * u[2] ** 2 + 4 * u[1] * u[3])
-        + f1 * u[4]
-    )
-    return g[: order + 1]
+#: unsigned Lah numbers L(n, k), n = 1..4, k = 1..n
+_LAH = ((1,), (2, 1), (6, 6, 1), (24, 36, 12, 1))
 
 
 def _pair_derivative(
-    kind1: str,
-    alpha: float,
-    kind2: str,
-    beta: float,
-    y: float,
-    order: int,
-    trunc: SeriesTruncation,
-    ctx: Any,
+    kind: str, alpha: float, y: float, order: int, trunc: SeriesTruncation, ctx: Any
 ) -> float:
-    """d^order/dy^order of theta_{kind1}(alpha y) * theta_{kind2}(beta / y)."""
-    f = [
-        jacobi_theta(kind1, alpha * y, j, trunc, ctx) * alpha**j for j in range(order + 1)
+    """d^order/dy^order of theta_kind(alpha y) * theta_kind(alpha / y), from one
+    derivative jet of each factor; for the second, Faa di Bruno's formula for
+    h(alpha / y) is (-1)^n sum_k L(n, k) alpha^k y^(-n-k) h^(k)(alpha / y)."""
+    f = [v * alpha**j for j, v in enumerate(_jacobi_jet(kind, alpha * y, order, trunc, ctx))]
+    h = _jacobi_jet(kind, alpha / y, order, trunc, ctx)
+    g = [h[0]] + [
+        (-1) ** n * sum(c * alpha**k / y ** (n + k) * h[k] for k, c in enumerate(_LAH[n - 1], 1))
+        for n in range(1, order + 1)
     ]
-    inner = [jacobi_theta(kind2, beta / y, j, trunc, ctx) for j in range(order + 1)]
-    g = _faa_di_bruno_inverse_arg(inner, beta, y, order)
     return sum(math.comb(order, i) * f[i] * g[order - i] for i in range(order + 1))
 
 
@@ -171,16 +152,16 @@ def xyab(
     if order not in (0, 1, 2, 3, 4):
         raise DomainError(f"derivative order must be 0..4, got {order}")
     if which is XYABKind.X:
-        return _pair_derivative("three", 1, "three", 1, y, order, trunc, ctx)
+        return _pair_derivative("three", 1, y, order, trunc, ctx)
     if which is XYABKind.Y:
         return 2 * (
-            _pair_derivative("three", 4, "three", 4, y, order, trunc, ctx)
-            + _pair_derivative("two", 4, "two", 4, y, order, trunc, ctx)
+            _pair_derivative("three", 4, y, order, trunc, ctx)
+            + _pair_derivative("two", 4, y, order, trunc, ctx)
         )
     if which is XYABKind.A:
-        return ctx.sqrt(2) * _pair_derivative("three", 2, "three", 2, y, order, trunc, ctx)
+        return ctx.sqrt(2) * _pair_derivative("three", 2, y, order, trunc, ctx)
     if which is XYABKind.B:
-        return ctx.sqrt(2) * _pair_derivative("two", 2, "two", 2, y, order, trunc, ctx)
+        return ctx.sqrt(2) * _pair_derivative("two", 2, y, order, trunc, ctx)
     raise DomainError(f"unknown building block {which!r}")
 
 
@@ -379,12 +360,21 @@ def quotient(kind: str, y: float, trunc: SeriesTruncation = DEFAULT_TRUNCATION) 
 def quotient_derivative(
     kind: str, y: float, trunc: SeriesTruncation = DEFAULT_TRUNCATION
 ) -> float:
-    """d/dy of the quotient; at y = 1 the symmetric L'Hopital form is used."""
+    """d/dy of the quotient N'/D' (N, D = Y, X or B, A).
+
+    N' and D' vanish at y = 1, where the generic formula loses its digits to
+    rounding, so within ``_EXPANSION_RADIUS`` of 1 (both forms err by about
+    1e-4 there) N' = d P(d) and D' = d R(d), d = y - 1, are expanded to
+    P = N2 + N3 d/2 + N4 d^2/6 (Nk the k-th derivative at 1, R alike) and the
+    derivative is (P' R - P R')/R^2, the L'Hopital form at d = 0."""
     top, bot = _quotient_pair(kind)
-    if abs(y - 1.0) <= 1e-9:
-        n2, n3 = xyab(top, 1.0, 2, trunc), xyab(top, 1.0, 3, trunc)
-        d2, d3 = xyab(bot, 1.0, 2, trunc), xyab(bot, 1.0, 3, trunc)
-        return (n3 * d2 - n2 * d3) / (2 * d2 * d2)
+    d = y - 1.0
+    if abs(d) <= _EXPANSION_RADIUS:
+        n2, n3, n4 = (xyab(top, 1.0, k, trunc) for k in (2, 3, 4))
+        d2, d3, d4 = (xyab(bot, 1.0, k, trunc) for k in (2, 3, 4))
+        p, dp = n2 + n3 * d / 2 + n4 * d * d / 6, n3 / 2 + n4 * d / 3
+        r, dr = d2 + d3 * d / 2 + d4 * d * d / 6, d3 / 2 + d4 * d / 3
+        return (dp * r - p * dr) / (r * r)
     n1, n2 = xyab(top, y, 1, trunc), xyab(top, y, 2, trunc)
     d1, d2 = xyab(bot, y, 1, trunc), xyab(bot, y, 2, trunc)
     return (n2 * d1 - n1 * d2) / (d1 * d1)
@@ -420,7 +410,7 @@ def quotient_scan(
     """Sample the quotient's derivative on a grid and report its signs.
 
     The quotient has a removable critical point at y = 1; a grid point
-    landing there (or within 1e-9) is evaluated by the L'Hopital formula.
+    within 3e-5 of it is evaluated by the expansion at y = 1.
     Expected pattern: negative on (0, 1), positive on (1, infinity).
     """
     if not (0 < y_lo < y_hi):

@@ -3,10 +3,10 @@
 This module is the numerical foundation of the package.  It evaluates
 
 * the Jacobi theta functions ``theta_2``, ``theta_3``, ``theta_4`` of a
-  positive real argument, together with their term-wise derivatives up to
-  fourth order,
-* the classical one-dimensional theta function ``theta1d(X; Y)`` in both its
-  direct Fourier form and its Poisson-summed form,
+  positive real argument with their term-wise derivatives up to fourth
+  order, and the one-dimensional theta function ``theta1d(X; Y)`` (its
+  Poisson-summed form for ``X < 1``), through one 1-D series that returns
+  orders 0..k of its ``X``-derivatives in one pass,
 * the lattice theta function ``theta2d(s; z)`` for ``z`` in the upper
   half-plane and its midpoint-shifted companion ``theta2d_shifted(s; z)``,
   through one kernel that also serves J of :mod:`phase_diagram`: reduce ``z``
@@ -120,34 +120,78 @@ DEFAULT_TRUNCATION = SeriesTruncation()
 
 THETA_KINDS = ("two", "three", "four")
 
-#: exponents a_n of e^{-pi a_n y}, as functions of the 1-based term index
-def _index_weight(kind: str, n: int) -> float:
-    if kind == "two":
-        return (n - 0.5) * (n - 0.5)
-    return float(n * n)
+#: (eps, Y) of each Jacobi kind in :func:`_theta_series`, read by :func:`_jacobi_jet`
+_JACOBI_SHIFTS = {"two": (0.5, 0), "three": (0, 0), "four": (0, 0.5)}
 
 
-def _term_sign(kind: str, n: int) -> int:
-    if kind == "four" and n % 2 == 1:
-        return -1
-    return 1
+def _series_tail(N: int, X: float, eps: float, p: int, k: int = 0) -> float:
+    """Bound on the ``k``-th ``X``-derivative of what :func:`_theta_series` drops
+    once it keeps ``|u| < N + 1/2``: past the first omitted ``|u| = t`` on each
+    side, the terms ``pi^k u^q e^{-pi u^2 X}`` (``q = p + 2k``) shrink per step
+    by at most ``r = ((t+1)/t)^q e^{-pi X (2t+1)}``, so a side sums to at most
+    its first term over ``1 - r`` (+inf while ``r >= 1``).  Rounded outward:
+    an exponent ``a`` is off by at most ``3 a 2^-53``, which ``e^{-a}`` turns
+    into that relative error; the other roundings are below ``16 2^-50``."""
+    q, bound = p + 2 * k, 0.0
+    t_pos, t_neg = N + 0.5 + (0.5 + eps) % 1.0, N + 0.5 + (0.5 - eps) % 1.0
+    for t in (t_pos,) if t_pos == t_neg else (t_pos, t_neg):
+        a, b = math.pi * (t * t) * X, math.pi * (2 * t + 1) * X
+        ratio = ((t + 1) / t) ** q * math.exp(-b)
+        if ratio >= 1.0:
+            return math.inf
+        slack = 1.0 + (a + 16.0 + ratio / (1.0 - ratio) * (b + 16.0)) * 2.0**-50
+        bound += slack * t**q * math.exp(-a) / (1.0 - ratio)
+    return math.pi**k * (2 if t_pos == t_neg else 1) * bound
 
 
-def _jacobi_tail(kind: str, N: int, y: float, order: int) -> float:
-    """Certified bound on the tail of the Jacobi series after index ``N``.
-
-    The terms t_n = 2 (pi a_n)^order e^{-pi a_n y} are eventually dominated
-    by a geometric sequence: for n >= N+1 the ratio t_{n+1}/t_n is at most
-    r* = (a_{N+2}/a_{N+1})^order * e^{-pi (a_{N+2}-a_{N+1}) y}, so the tail
-    is at most t_{N+1} / (1 - r*) whenever r* < 1 (otherwise +inf).
+def _theta_series(
+    X, eps, Y, k: int, trunc: SeriesTruncation, ctx: Any, p: int = 0, scale: float = 1.0
+) -> list:
+    """Orders 0..``k`` in ``X``, in one pass, of ``sum_{u in eps + Z} u^p e^{-pi u^2 X}
+    trig(2 pi u Y)`` (``|eps| <= 1/2``, ``p`` 0 or 1, ``trig`` cos or, for
+    ``p = 1``, sin, and 1 at ``Y = 0``).  N is the least index at which
+    ``scale`` (the caller's prefactor) times the top order's :func:`_series_tail`
+    is at most ``trunc.tail_tol``; as ``pi t^2 > 1`` at every omitted ``|u| = t``,
+    it covers the lower orders.  That tail is at least ``e^{-pi t^2 X}`` at
+    ``t = N + 1 - |eps|`` (twice that if mirrored), so the search starts from
+    that Gaussian guess.  An even term at ``eps`` 0 or 1/2 is mirrored: one
+    side is summed and doubled.
     """
-    a1 = _index_weight(kind, N + 1)
-    a2 = _index_weight(kind, N + 2)
-    t_next = 2.0 * (math.pi * a1) ** order * math.exp(-math.pi * a1 * y)
-    ratio = (a2 / a1) ** order * math.exp(-math.pi * (a2 - a1) * y)
-    if ratio >= 1.0:
-        return math.inf
-    return t_next / (1.0 - ratio)
+    Xf, e = float(X), abs(float(eps))
+    mirrored = e in (0.0, 0.5) and (p == 0 or Y != 0)
+    tol = float(trunc.tail_tol) / scale
+    guess = math.ceil(math.sqrt(max(math.log((1 + mirrored) / tol), 0.0) / (math.pi * Xf)) - 1 + e)
+    N = min(max(1, guess), trunc.max_index)
+    while (bound := _series_tail(N, Xf, float(eps), p, k)) > tol:
+        if N == trunc.max_index:
+            raise TruncationError(
+                f"1-D theta series (X={X}, eps={eps}, Y={Y}, order {k}): tail bound "
+                f"{scale * bound:.3e} > tol {trunc.tail_tol:.3e} at max_index={N}",
+                achieved_bound=scale * bound,
+            )
+        N += 1
+
+    if mirrored:  # u = 0 adds 1 to the value at eps = p = 0
+        js, shift, weight, start = range(e == 0, N + (e == 0)), e, 2, int(e == p == 0)
+    else:  # |u| < N + 1/2 with eps in (-1/2, 1/2], outward so that odd terms cancel
+        js, shift, weight, start = sorted(range(-N, N + (eps < 0.5)), key=abs), eps, 1, 0
+    pi, exp, trig = ctx.pi, ctx.exp, (ctx.sin if p else ctx.cos) if Y else None
+    sums = [start] + [0] * k
+    for j in js:
+        u = shift + j
+        a = -pi * (u * u)
+        g = weight * u**p * exp(a * X)
+        if trig:
+            g *= trig(2 * pi * u * Y)
+        for i in range(k + 1):
+            sums[i] += g
+            g *= a
+    return sums
+
+
+def _jacobi_jet(kind: str, y, k: int, trunc: SeriesTruncation, ctx: Any) -> list:
+    """``theta_kind(y)`` and its ``y``-derivatives up to ``k``, in one pass, unchecked."""
+    return _theta_series(y, *_JACOBI_SHIFTS[kind], k, trunc, ctx)
 
 
 def jacobi_theta(
@@ -168,11 +212,13 @@ def jacobi_theta(
             theta_3(y) = 1 + 2 sum_{n>=1} e^{-pi n^2 y}
             theta_4(y) = 1 + 2 sum_{n>=1} (-1)^n e^{-pi n^2 y}
 
+        that is, ``sum_{u in eps + Z} e^{-pi u^2 y} cos(2 pi u Y)`` at ``(eps, Y)``
+        = ``(1/2, 0)``, ``(0, 0)`` and ``(0, 1/2)``.
     y : float
         Positive argument.
     order : int
         Derivative order in ``y``, between 0 and 4; differentiation is
-        term-wise (each term picks up a factor ``(-pi a_n)^order``).
+        term-wise (each term picks up a factor ``(-pi u^2)^order``).
     trunc : SeriesTruncation
         Truncation policy.
     ctx : module
@@ -188,7 +234,8 @@ def jacobi_theta(
     DomainError
         If ``y <= 0``, the kind is unknown, or the order is out of range.
     TruncationError
-        If the tail bound cannot be certified within ``trunc.max_index``.
+        If the tail bound cannot be certified within ``trunc.max_index``
+        (it carries ``tail_bound("jacobi", trunc.max_index, ...)``).
     """
     if kind not in THETA_KINDS:
         raise DomainError(f"unknown theta kind {kind!r}; expected one of {THETA_KINDS}")
@@ -196,100 +243,7 @@ def jacobi_theta(
         raise DomainError(f"jacobi_theta needs y > 0, got {y}")
     if order not in (0, 1, 2, 3, 4):
         raise DomainError(f"derivative order must be 0..4, got {order}")
-
-    pi = ctx.pi
-    total = ctx.exp(pi * 0) * 0  # zero in the backend's type
-    if order == 0 and kind in ("three", "four"):
-        total = total + 1
-
-    yf = float(y)
-    for n in range(1, trunc.max_index + 1):
-        a = _index_weight(kind, n)
-        term = 2 * _term_sign(kind, n) * (-pi * a) ** order * ctx.exp(-pi * a * y)
-        total = total + term
-        bound = _jacobi_tail(kind, n, yf, order)
-        if bound <= trunc.tail_tol:
-            return total
-    raise TruncationError(
-        f"jacobi_theta({kind}, y={y}, order={order}): tail bound "
-        f"{bound:.3e} > tol {trunc.tail_tol:.3e} at max_index={trunc.max_index}",
-        achieved_bound=bound,
-    )
-
-
-def _theta1d_tail(N: int, X: float, dY_order: int) -> float:
-    """:func:`_jacobi_tail`'s majorant for the direct theta1d series, order -> dY_order."""
-    t_next = 2.0 * (2.0 * math.pi * (N + 1)) ** dY_order * math.exp(-math.pi * (N + 1) ** 2 * X)
-    ratio = ((N + 2) / (N + 1)) ** dY_order * math.exp(-math.pi * (2 * N + 3) * X)
-    return math.inf if ratio >= 1.0 else t_next / (1.0 - ratio)
-
-
-def _theta1d_direct(X: float, Y: float, dY_order: int, trunc: SeriesTruncation, ctx: Any) -> float:
-    """Direct Fourier form, efficient for X >= 1."""
-    pi = ctx.pi
-    total = ctx.exp(pi * 0) * 0
-    if dY_order == 0:
-        total = total + 1
-    for n in range(1, trunc.max_index + 1):
-        w = ctx.exp(-pi * n * n * X)
-        if dY_order == 0:
-            term = 2 * w * ctx.cos(2 * pi * n * Y)
-        else:
-            term = -4 * pi * n * w * ctx.sin(2 * pi * n * Y)
-        total = total + term
-        bound = _theta1d_tail(n, float(X), dY_order)
-        if bound <= trunc.tail_tol:
-            return total
-    raise TruncationError(
-        f"theta1d(X={X}, Y={Y}): direct series did not certify tol within "
-        f"max_index={trunc.max_index}",
-        achieved_bound=bound,
-    )
-
-
-def _theta1d_poisson(X: float, Y: float, dY_order: int, trunc: SeriesTruncation, ctx: Any) -> float:
-    """Poisson-summed Gaussian form, efficient for X < 1."""
-    pi = ctx.pi
-    Yr = Y - math.floor(float(Y))  # reduce by periodicity to [0, 1)
-    invX = 1 / X
-
-    total = ctx.exp(pi * 0) * 0
-    Xf = float(X)
-    n = 0
-    while True:
-        block = 0
-        for k in (n, -n) if n else (0,):
-            d = k - Yr
-            g = ctx.exp(-pi * d * d * invX)
-            if dY_order == 0:
-                block = block + g
-            else:
-                block = block + 2 * pi * d * invX * g
-        total = total + block
-        # Next terms are k = n+1 (distance >= n) and k = -(n+1) (distance
-        # <= n+2); the Gaussians then shrink by at least e^{-pi(2n-1)/X} per
-        # step while the derivative factor grows by <= (n+3)/(n+2).  The
-        # shrink exponent is only negative for n >= 1 (at n = 0 it would
-        # overflow for tiny X), so certification starts at n = 1.
-        if n >= 1:
-            t_next = 2.0 * math.exp(-math.pi * n * n / Xf) * (
-                (2.0 * math.pi * (n + 2.0) / Xf) ** dY_order
-            )
-            ratio = ((n + 3.0) / (n + 2.0)) ** dY_order * math.exp(
-                -math.pi * (2.0 * n - 1.0) / Xf
-            )
-            # the prefactor X^{-1/2} > 1 scales the realized tail as well
-            if ratio < 1.0 and t_next / (1.0 - ratio) <= trunc.tail_tol * math.sqrt(Xf):
-                break
-        n += 1
-        if n > trunc.max_index:
-            raise TruncationError(
-                f"theta1d(X={X}, Y={Y}): Poisson form did not certify tol within "
-                f"max_index={trunc.max_index}",
-                achieved_bound=t_next / math.sqrt(Xf),
-            )
-    scale = 1 / ctx.sqrt(X)
-    return scale * total
+    return _jacobi_jet(kind, y, order, trunc, ctx)[order]
 
 
 def theta1d(
@@ -302,20 +256,25 @@ def theta1d(
     """The one-dimensional theta function ``sum_n e^{-pi n^2 X} e^{2 pi i n Y}``.
 
     The sum is real:  ``theta1d(X; Y) = 1 + 2 sum_{n>=1} e^{-pi n^2 X}
-    cos(2 pi n Y)``.  For ``X >= 1`` the direct series is used; for ``X < 1``
-    the Poisson-summed form ``X^{-1/2} sum_n e^{-pi (n-Y)^2 / X}``, so the
-    effective decay rate is always ``max(X, 1/X)``.
+    cos(2 pi n Y)``.  For ``X >= 1`` that series is summed, for ``X < 1`` its
+    Poisson-summed form ``X^{-1/2} sum_{u in Z - Y} e^{-pi u^2 / X}``, both
+    by the 1-D series of :func:`jacobi_theta`, so the effective decay rate
+    is always ``max(X, 1/X)``.
 
     ``dY_order`` (0 or 1) selects the value or the partial derivative in
-    ``Y``.
+    ``Y``.  At ``X >= 1`` a ``TruncationError`` carries ``tail_bound("theta1d",
+    trunc.max_index, ...)``.
     """
     if not X > 0:
         raise DomainError(f"theta1d needs X > 0, got {X}")
     if dY_order not in (0, 1):
         raise DomainError(f"dY_order must be 0 or 1, got {dY_order}")
-    if X >= 1:
-        return _theta1d_direct(X, Y, dY_order, trunc, ctx)
-    return _theta1d_poisson(X, Y, dY_order, trunc, ctx)
+    if X >= 1:  # d/dY turns cos(2 pi n Y) into -2 pi n sin(2 pi n Y)
+        c, series = (-2 * ctx.pi) ** dY_order, (X, 0, Y)
+    else:  # and e^{-pi u^2 / X} (u = n - Y) into 2 pi u / X times it
+        c = (2 * ctx.pi / X) ** dY_order / ctx.sqrt(X)
+        series = (1 / X, math.floor(float(Y) + 0.5) - Y, 0)
+    return c * _theta_series(*series, 0, trunc, ctx, dY_order, abs(float(c)))[0]
 
 
 def _reduce_point(z: HalfPlanePoint, ctx: Any):
@@ -487,7 +446,8 @@ def tail_bound(kind: str, N: int, **params: float) -> float:
           ``y`` (> 0), optional ``order`` (default 0) and ``theta_kind``
           (default "three").
         * ``theta1d`` — tail of the direct Fourier series after index ``N``;
-          parameters ``X`` (> 0), optional ``dY_order``.
+          parameters ``X`` (> 0), optional ``dY_order``.  Both read the
+          bound the 1-D series is cut by.
         * ``lattice`` — tail of the reduced lattice sum behind ``theta2d``
           and ``j_eval`` once it keeps every index up to ``N`` (the ellipse
           ``s m^2 + d^2 / s <= N^2 min(s, 1/s)``); parameters ``y`` (> 0),
@@ -505,15 +465,15 @@ def tail_bound(kind: str, N: int, **params: float) -> float:
     if N < 1:
         raise DomainError("tail bounds need N >= 1")
     if kind == "jacobi":
-        y = params["y"]
-        if not y > 0:
-            raise DomainError("jacobi tail bound needs y > 0")
-        return _jacobi_tail(params.get("theta_kind", "three"), N, y, int(params.get("order", 0)))
+        y, theta_kind = params["y"], params.get("theta_kind", "three")
+        if not (y > 0 and theta_kind in THETA_KINDS):
+            raise DomainError(f"jacobi tail bound needs y > 0 and theta_kind in {THETA_KINDS}")
+        return _series_tail(N, y, _JACOBI_SHIFTS[theta_kind][0], 0, int(params.get("order", 0)))
     if kind == "theta1d":
-        X = params["X"]
+        X, dY_order = params["X"], int(params.get("dY_order", 0))
         if not X > 0:
             raise DomainError("theta1d tail bound needs X > 0")
-        return _theta1d_tail(N, X, int(params.get("dY_order", 0)))
+        return (2 * math.pi) ** dY_order * _series_tail(N, X, 0, dY_order)
     if kind == "lattice":
         s, y, order = params.get("s", 1.0), params["y"], params.get("order", 0)
         if not (s > 0 and y > 0 and order in (0, 1, 2)):

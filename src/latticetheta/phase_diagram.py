@@ -35,8 +35,8 @@ from .kernels import (
     DomainError,
     HalfPlanePoint,
     SeriesTruncation,
+    _jacobi_jet,
     _lattice_sum,
-    jacobi_theta,
     theta2d,
     theta2d_shifted,
 )
@@ -134,15 +134,12 @@ def hessian_universal(
     """
     if not y > 0:
         raise DomainError(f"hessian_universal needs y > 0, got {y}")
-    t = lambda kind, v, o=0: jacobi_theta(kind, v, o, trunc)
-    c = 16 * math.pi**2
-    if which == "w1":
-        return c * t("four", y, 1) * t("three", 1 / y) * t("four", y) * t("three", 1 / y, 1)
-    if which == "w2":
-        return c * t("three", y, 1) * t("four", 1 / y) * t("three", y) * t("four", 1 / y, 1)
-    if which == "w3":
-        return c * t("four", y, 1) * t("four", 1 / y) * t("four", y) * t("four", 1 / y, 1)
-    raise DomainError(f"unknown universal point {which!r}; expected 'w1', 'w2' or 'w3'")
+    kinds = {"w1": ("four", "three"), "w2": ("three", "four"), "w3": ("four", "four")}
+    if which not in kinds:
+        raise DomainError(f"unknown universal point {which!r}; expected 'w1', 'w2' or 'w3'")
+    f0, f1 = _jacobi_jet(kinds[which][0], y, 1, trunc, math)
+    g0, g1 = _jacobi_jet(kinds[which][1], 1 / y, 1, trunc, math)
+    return 16 * math.pi**2 * f1 * g0 * f0 * g1
 
 
 def energy(

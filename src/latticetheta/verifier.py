@@ -74,20 +74,18 @@ _MU_RTOL = 1e-17
 _MU_MAX_INDEX = 100_000
 
 
-def mu(X: float) -> float:
-    """mu(X) = sum_{n>=2} n^2 e^{-pi (n^2-1) X}, cut by a certified tail.
+def _n2_gauss_sum(X: float, n0: int, c: int) -> float:
+    """sum_{n >= n0} n^2 e^{-pi (n^2 - c) X}, cut by a certified tail.
 
     The term ratio r_n = ((n+1)/n)^2 e^{-pi (2n+1) X} decreases in n, so once
     r_n < 1 (past the peak) the tail after term n is at most
     t_n r_n / (1 - r_n).  The sum stops when that bound is below _MU_RTOL of
-    the total, and raises TruncationError if _MU_MAX_INDEX terms do not get
-    there (X below about 1.3e-9).
+    the total, and raises TruncationError if the terms up to _MU_MAX_INDEX
+    do not get there (for mu, X below about 1.3e-9).
     """
-    if not X > 0:
-        raise DomainError(f"mu needs X > 0, got {X}")
     total, tail = 0.0, math.inf
-    for n in range(2, _MU_MAX_INDEX + 1):
-        term = n * n * math.exp(-math.pi * (n * n - 1) * X)
+    for n in range(n0, _MU_MAX_INDEX + 1):
+        term = n * n * math.exp(-math.pi * (n * n - c) * X)
         total += term
         ratio = ((n + 1) / n) ** 2 * math.exp(-math.pi * (2 * n + 1) * X)
         if ratio < 1:
@@ -95,8 +93,16 @@ def mu(X: float) -> float:
             if tail <= _MU_RTOL * total:
                 return total
     raise TruncationError(
-        f"mu({X}) not certified within {_MU_MAX_INDEX} terms", achieved_bound=tail
+        f"sum_(n>={n0}) n^2 e^(-pi (n^2-{c}) X) at X = {X} not certified in {_MU_MAX_INDEX} terms",
+        achieved_bound=tail,
     )
+
+
+def mu(X: float) -> float:
+    """mu(X) = sum_{n>=2} n^2 e^{-pi (n^2-1) X}, cut by a certified tail."""
+    if not X > 0:
+        raise DomainError(f"mu needs X > 0, got {X}")
+    return _n2_gauss_sum(X, 2, 1)
 
 
 def under_theta(X: float) -> float:
@@ -135,17 +141,14 @@ def n0_of(x: float) -> int:
 
 
 def sigma_bound(j: int, y: float) -> float:
-    """sigma_1..sigma_4: the small tail ratios of the x-monotonicity bounds."""
+    """sigma_1..sigma_4: the small tail ratios of the x-monotonicity bounds,
+    each cut by the certified tail of :func:`_n2_gauss_sum`."""
     if j == 1:
-        return 0.25 * sum(
-            n * n * math.exp(-math.pi * y * (n * n - 4)) for n in range(3, 40)
-        )
+        return 0.25 * _n2_gauss_sum(y, 3, 4)
     if j == 2:
         return mu(y)
     if j == 3:
-        return 0.5 * sum(
-            n * n * math.exp(-math.pi * y * (n * n - 4) / 2) for n in range(3, 40)
-        )
+        return 0.5 * _n2_gauss_sum(y / 2, 3, 4)
     if j == 4:
         return mu(2 * y)
     raise DomainError(f"sigma index must be 1..4, got {j}")

@@ -88,14 +88,15 @@ def test_xyab_derivatives_match_mpmath(which, order):
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
 def test_xyab_evaluates_only_the_theta_derivatives_it_uses(order, monkeypatch):
-    """X = theta_3(y) theta_3(1/y) needs orders 0..order of each factor."""
+    """X = theta_3(y) theta_3(1/y) needs orders 0..order of each factor: one
+    series pass per factor, asking for no higher order."""
     calls = []
-    original = functionals.jacobi_theta
+    original = functionals._jacobi_jet
     monkeypatch.setattr(
-        functionals, "jacobi_theta", lambda *args: calls.append(args) or original(*args)
+        functionals, "_jacobi_jet", lambda *args: calls.append(args) or original(*args)
     )
     xyab(X, 1.3, order)
-    assert len(calls) == 2 * (order + 1)
+    assert [args[2] for args in calls] == [order, order]
 
 
 @given(ys)
@@ -506,6 +507,30 @@ def test_quotient_lhopital_at_one():
     report = quotient_scan("ZofXY", 0.99, 1.01, 3)
     assert report.zero == 1
     assert report.negative == 1 and report.positive == 1
+
+
+@pytest.mark.parametrize("dy", [-1e-6, 1e-6, -1e-5, 1e-5, -1e-4, 1e-4, 1e-3, 1e-2])
+def test_quotient_derivative_near_one_matches_mpmath(dy):
+    """Both N' and D' vanish at y = 1, so the generic formula loses its
+    digits there; compare with (N'' D' - N' D'')/D'^2 at 40 digits."""
+    th = lambda k, t: mp.jtheta(k, 0, mp.exp(-mp.pi * t))
+    blocks = {
+        "ZofXY": (
+            lambda t: 2 * (th(3, 4 * t) * th(3, 4 / t) + th(2, 4 * t) * th(2, 4 / t)),
+            lambda t: th(3, t) * th(3, 1 / t),
+        ),
+        "CofAB": (
+            lambda t: th(2, 2 * t) * th(2, 2 / t),
+            lambda t: th(3, 2 * t) * th(3, 2 / t),
+        ),
+    }
+    y = 1 + dy
+    for kind, (num, den) in blocks.items():
+        with mp.workdps(40):
+            ym = mp.mpf(y)
+            n1, n2, d1, d2 = (mp.diff(f, ym, k) for f in (num, den) for k in (1, 2))
+            ref = float((n2 * d1 - n1 * d2) / d1**2)
+        assert quotient_derivative(kind, y) == pytest.approx(ref, rel=1e-3)
 
 
 def test_quotient_scan_validation():

@@ -338,12 +338,41 @@ def test_tail_bound_monotone_in_N():
 
 def test_tail_bound_dominates_actual_error():
     # measure the true discarded tail in high precision so binary64
-    # cancellation cannot leak into the comparison
+    # cancellation cannot leak into the comparison; the terms are taken in
+    # absolute value (the worst case over the signs of theta_4 and over Y).
+    def dropped(N, shift, y, weight):
+        us = (n - shift for n in range(N + 1, N + 60))
+        return float(2 * mp.fsum(weight(u) * mp.exp(-mp.pi * u * u * y) for u in us))
+
     with mp.workdps(40):
         for y in (0.8, 1.3, 2.0):
             for N in (1, 2, 3, 5):
-                true_tail = 2 * mp.nsum(lambda n: mp.exp(-mp.pi * n * n * y), [N + 1, mp.inf])
-                assert float(true_tail) <= tail_bound("jacobi", N, y=y)
+                for theta_kind, shift in (("two", 0.5), ("three", 0), ("four", 0)):
+                    for order in range(5):
+                        true_tail = dropped(N, shift, y, lambda u: (mp.pi * u * u) ** order)
+                        bound = tail_bound("jacobi", N, y=y, order=order, theta_kind=theta_kind)
+                        assert true_tail <= bound
+                for dY_order in (0, 1):
+                    true_tail = dropped(N, 0, y, lambda u: (2 * mp.pi * u) ** dY_order)
+                    bound = tail_bound("theta1d", N, X=y, dY_order=dY_order)
+                    assert true_tail <= bound
+
+
+def test_1d_series_raise_with_the_tail_bound_at_max_index():
+    tight = SeriesTruncation(max_index=2, tail_tol=1e-13)
+    for kind in ("two", "three", "four"):
+        for order in (0, 3):
+            with pytest.raises(TruncationError) as exc:
+                jacobi_theta(kind, 0.3, order, tight)
+            bound = tail_bound("jacobi", 2, y=0.3, order=order, theta_kind=kind)
+            assert exc.value.achieved_bound == bound
+            assert 1e-13 < bound < math.inf
+    for dY_order in (0, 1):
+        with pytest.raises(TruncationError) as exc:
+            theta1d(1.05, 0.3, dY_order, tight)
+        bound = tail_bound("theta1d", 2, X=1.05, dY_order=dY_order)
+        assert exc.value.achieved_bound == bound
+        assert 1e-13 < bound < math.inf
 
 
 def lattice_discarded(N, s, x, y, b, order):
@@ -384,6 +413,8 @@ def test_tail_bound_rejects_bad_input():
         tail_bound("jacobi", 0, y=1.0)
     with pytest.raises(DomainError):
         tail_bound("jacobi", 3, y=-1.0)
+    with pytest.raises(DomainError):
+        tail_bound("jacobi", 3, y=1.0, theta_kind="one")
     with pytest.raises(DomainError):
         tail_bound("nonsense", 3, y=1.0)
     with pytest.raises(DomainError):

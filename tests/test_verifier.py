@@ -78,6 +78,18 @@ class TestBoundKit:
         with pytest.raises(TruncationError):
             mu(1e-12)
 
+    @pytest.mark.parametrize("y", [0.002, 0.005, 0.02])
+    def test_sigma_1_and_3_match_30_digit_sums(self, y):
+        # at y = 0.002 a fixed n < 40 cut-off left sigma_3 2% low
+        with mpmath.workdps(30):
+            ym = mpmath.mpf(y)
+            terms = lambda scale: (
+                n * n * mpmath.exp(-mpmath.pi * ym * (n * n - 4) * scale) for n in range(3, 3000)
+            )
+            ref1, ref3 = mpmath.fsum(terms(1)) / 4, mpmath.fsum(terms(0.5)) / 2
+        assert sigma_bound(1, y) == pytest.approx(float(ref1), rel=1e-13)
+        assert sigma_bound(3, y) == pytest.approx(float(ref3), rel=1e-13)
+
     def test_envelope_pair_needs_large_argument(self):
         with pytest.raises(DomainError):
             under_theta(0.15)
