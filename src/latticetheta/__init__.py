@@ -3,7 +3,8 @@ minimization, and the rhombic/square/rectangular phase diagram of a
 two-component lattice energy.
 
 The public API re-exports the main entry points of each submodule; see the
-README for a guided tour.
+README for a guided tour.  The verifier's names load it, and numpy with it,
+on first use.
 """
 
 from .functionals import (
@@ -60,19 +61,6 @@ from .phase_diagram import (
     phase_row,
     solve_alpha0,
 )
-from .verifier import (
-    BoundKit,
-    CheckRow,
-    MarginRow,
-    appendix_margins,
-    appendix_poly,
-    bound_kit,
-    brute_minimize,
-    run_suite,
-    series_split,
-    x_monotonicity_scan,
-)
-
 __version__ = "0.1.0"
 
 __all__ = [
@@ -134,3 +122,24 @@ __all__ = [
     "xyab",
     "__version__",
 ]
+
+_VERIFIER_NAMES = (
+    "BoundKit",
+    "CheckRow",
+    "MarginRow",
+    "appendix_margins",
+    "appendix_poly",
+    "bound_kit",
+    "brute_minimize",
+    "run_suite",
+    "series_split",
+    "x_monotonicity_scan",
+)
+
+
+def __getattr__(name: str):
+    if name in _VERIFIER_NAMES:
+        from . import verifier
+
+        return getattr(verifier, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

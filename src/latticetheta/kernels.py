@@ -13,7 +13,8 @@ This module is the numerical foundation of the package.  It evaluates
   into the fundamental domain, carry the displacement through the word, and
   sum the Poisson-summed series on an ellipse certified by a closed-form
   Gaussian bound (the genus-1 case of Deconinck et al., "Computing Riemann
-  theta functions", Math. Comp. 73 (2004)).
+  theta functions", Math. Comp. 73 (2004)); the same sum on a whole
+  displacement grid, for the critical-point census, takes one pass.
 
 Every series is truncated only once a bound certifies the discarded tail
 below the requested tolerance; ``tail_bound`` exposes the bounds themselves,
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
+from operator import getitem, mul
 from typing import Any
 
 __all__ = [
@@ -285,8 +286,6 @@ def _reduce_point(z: HalfPlanePoint, ctx: Any):
     ``x``); ``z'`` is recomputed in the backend from ``x - k`` and ``y``.
     Renumbering ``(m, n)`` by the word keeps the sum, so ``L = (A, B; C, D)
     diag(1, sigma) (1, -k; 0, 1)``, ``sigma = -1`` if it reflects (flips b)."""
-    from . import halfplane  # deferred: halfplane imports this module
-
     k = math.floor(float(z.x) + 0.5)
     _, word = halfplane.reduce(HalfPlanePoint(float(z.x) - k, float(z.y)), halfplane.GroupId.Gamma)
     A, B, C, D = word.matrix
@@ -327,6 +326,84 @@ def _lattice_tail(r2: float, s: float, x: float, y: float, order: int, L: tuple)
     return math.sqrt(y / s) * growth * weight * 2.0 * t(beta) * rows * math.exp(-r2)
 
 
+def _reduced_ellipse(s: float, z: HalfPlanePoint, order: int, trunc: SeriesTruncation, ctx: Any):
+    """``z'``, ``L`` of :func:`_reduce_point` and the least ``r2`` (the ellipse
+    ``Q <= r2`` of :func:`_lattice_tail`) whose bound on an ``order`` partial is
+    at most ``trunc.tail_tol``; the bound does not depend on the displacement.
+
+    Raises TruncationError, with the bound achieved, when that ellipse does
+    not fit the index box ``|m|, |d| <= max_index``."""
+    xr, yr, L = _reduce_point(z, ctx)
+    sf, xf, yf = float(s), float(xr), float(yr)
+    r2_cap = trunc.max_index**2 * min(sf * math.pi * yf, math.pi * yf / sf)
+    tol = float(trunc.tail_tol)
+    # the start covers the bound's polynomial prefactor at most points
+    r2 = min(4.0 + 4.5 * order - math.log(tol), r2_cap)
+    while (bound := _lattice_tail(r2, sf, xf, yf, order, L)) > tol:
+        if r2 >= r2_cap:
+            raise TruncationError(
+                f"lattice sum (s={s}, z=({z.x}, {z.y})): tail bound {bound:.3e} > tol "
+                f"{tol:.3e} at max_index={trunc.max_index}",
+                achieved_bound=bound,
+            )
+        r2 = min(r2 + math.log(bound / tol) + 0.5, r2_cap)
+    return xr, yr, L, r2
+
+
+def _lattice_column(br, r2: float, s: float, yr, order: int, ctx: Any):
+    """The column ``d in br + Z`` of the ellipse ``s pi y m^2 + pi y d^2/s <= r2``:
+    its ``d``'s, ``gd[p]`` = the ``g d^p`` for ``p <= order`` (``g = e^{-pi y d^2/s}``),
+    and for each row ``m >= 0`` its ``(weight, lo, hi)``: the factor
+    ``e^{-s pi y m^2}``, doubled for ``m > 0`` (the conjugate row ``-m``), and the
+    slice ``ds[lo:hi]`` the row keeps."""
+    pi, exp = ctx.pi, ctx.exp
+    alpha, beta = float(s) * math.pi * float(yr), math.pi * float(yr) / float(s)
+    t = br - math.floor(float(br) + 0.5)
+    reach = math.sqrt(r2 / beta)
+    j0 = math.ceil(-reach - float(t))
+    ds = [t + j for j in range(j0, math.floor(reach - float(t)) + 1)]
+    gd = [[exp(-pi * yr * d * d / s) for d in ds]]
+    for _ in range(order):
+        gd.append([w * d for w, d in zip(gd[-1], ds)])
+    rows = []
+    for m in range(int(math.sqrt(r2 / alpha)) + 1):
+        reach = math.sqrt((r2 - alpha * m * m) / beta)
+        lo, hi = math.ceil(-reach - float(t)) - j0, math.floor(reach - float(t)) - j0 + 1
+        rows.append(((2 if m else 1) * exp(-s * pi * yr * m * m), lo, hi))
+    return ds, gd, rows
+
+
+def _row_partials(order: int, U, V, h, moment, cs, ss) -> tuple:
+    """A row's partials of total ``order`` in the reduced displacement, by
+    ``b``-order, from its moments ``moment(cs, p) = sum g d^p cos(phi)`` and
+    ``moment(ss, p) = sum g d^p sin(phi)``, ``phi = U (a - x d)``: a term's ``a``-
+    and ``b``-partials carry ``i U`` and ``-(P + i V)`` (``V = U x``, ``P = h d``,
+    ``d/db P = h``).  Linear in the moments."""
+    if order == 0:
+        return (moment(cs, 0),)
+    if order == 1:
+        s0 = moment(ss, 0)
+        return (-U * s0, V * s0 - h * moment(cs, 1))
+    c0, s1 = moment(cs, 0), moment(ss, 1)
+    c2 = h * h * moment(cs, 2) - (V * V + h) * c0 - 2 * h * V * s1
+    return (-U * U * c0, U * (V * c0 + h * s1), c2)
+
+
+def _chain(G, L: tuple, order: int) -> tuple:
+    """Partials ``G`` in the reduced displacement ``L (a, b)`` taken back to ``(a, b)``:
+    d/da = l0 d/da' + l2 d/db', d/db = l1 d/da' + l3 d/db'."""
+    l0, l1, l2, l3 = L
+    if order == 0:
+        return (G[0],)
+    if order == 1:
+        return (l0 * G[0] + l2 * G[1], l1 * G[0] + l3 * G[1])
+    return (
+        l0 * l0 * G[0] + 2 * l0 * l2 * G[1] + l2 * l2 * G[2],
+        l0 * l1 * G[0] + (l0 * l3 + l1 * l2) * G[1] + l2 * l3 * G[2],
+        l1 * l1 * G[0] + 2 * l1 * l3 * G[1] + l3 * l3 * G[2],
+    )
+
+
 def _lattice_sum(
     s: float, z: HalfPlanePoint, a: float, b: float, order: int, trunc: SeriesTruncation, ctx: Any
 ) -> tuple:
@@ -340,69 +417,69 @@ def _lattice_sum(
 
         F = sqrt(y/s) sum_{m, d in b + Z} e^{-s pi y m^2 - pi y d^2/s} e^{2 pi i m (a - x d)}
     """
-    xr, yr, L = _reduce_point(z, ctx)
+    xr, yr, L, r2 = _reduced_ellipse(s, z, order, trunc, ctx)
     l0, l1, l2, l3 = L
     ar, br = l0 * a + l1 * b, l2 * a + l3 * b
-    sf, xf, yf = float(s), float(xr), float(yr)
-    alpha, beta = sf * math.pi * yf, math.pi * yf / sf
-
-    # the ellipse fits the index box |m|, |d| <= max_index; the start covers
-    # the bound's polynomial prefactor at most points
-    r2_cap = trunc.max_index**2 * min(alpha, beta)
-    tol = float(trunc.tail_tol)
-    r2 = min(4.0 + 4.5 * order - math.log(tol), r2_cap)
-    while (bound := _lattice_tail(r2, sf, xf, yf, order, L)) > tol:
-        if r2 >= r2_cap:
-            raise TruncationError(
-                f"lattice sum (s={s}, z=({z.x}, {z.y})): tail bound {bound:.3e} > tol "
-                f"{tol:.3e} at max_index={trunc.max_index}",
-                achieved_bound=bound,
-            )
-        r2 = min(r2 + math.log(bound / tol) + 0.5, r2_cap)
-
-    # Row m keeps |d| <= sqrt((r2 - alpha m^2) / beta).  A term's partials in
-    # a and b carry i U and -(P + i V) (U = 2 pi m, V = U x, P = h d, h = 2 pi y/s,
-    # d/db P = h): a row needs only sum g d^p cos(phi) and sum g d^p sin(phi).
-    pi, exp, cos, sin = ctx.pi, ctx.exp, ctx.cos, ctx.sin
-    t = br - math.floor(float(br) + 0.5)
-    reach = math.sqrt(r2 / beta)
-    j0 = math.ceil(-reach - float(t))
-    ds = [t + j for j in range(j0, math.floor(reach - float(t)) + 1)]
-    gd = [[exp(-pi * yr * d * d / s) for d in ds]]
-    for _ in range(order):
-        gd.append([w * d for w, d in zip(gd[-1], ds)])
+    pi, cos, sin = ctx.pi, ctx.cos, ctx.sin
     h = 2 * pi * yr / s
     sums = [0] * (order + 1)
-    for m in range(int(math.sqrt(r2 / alpha)) + 1):
-        reach = math.sqrt((r2 - alpha * m * m) / beta)
-        lo, hi = math.ceil(-reach - float(t)) - j0, math.floor(reach - float(t)) - j0 + 1
+    ds, gd, rows = _lattice_column(br, r2, s, yr, order, ctx)
+    for m, (weight, lo, hi) in enumerate(rows):
         U, V = 2 * pi * m, 2 * pi * m * xr
         phis = [U * (ar - xr * d) for d in ds[lo:hi]]
         cs = list(map(cos, phis))
         ss = list(map(sin, phis)) if order else None
-        moment = lambda p, trig: sum(map(mul, gd[p][lo:hi], trig))
-        if order == 0:
-            row = (moment(0, cs),)
-        elif order == 1:
-            s0 = moment(0, ss)
-            row = (-U * s0, V * s0 - h * moment(1, cs))
-        else:
-            c0, s1 = moment(0, cs), moment(1, ss)
-            c2 = h * h * moment(2, cs) - (V * V + h) * c0 - 2 * h * V * s1
-            row = (-U * U * c0, U * (V * c0 + h * s1), c2)
-        weight = (2 if m else 1) * exp(-s * pi * yr * m * m)
+        moment = lambda trig, p: sum(map(mul, gd[p][lo:hi], trig))
+        row = _row_partials(order, U, V, h, moment, cs, ss)
         sums = [acc + weight * r for acc, r in zip(sums, row)]
-    G = [ctx.sqrt(yr / s) * v for v in sums]
+    return _chain([ctx.sqrt(yr / s) * v for v in sums], L, order)
 
-    # chain rule back to (a, b): d/da = l0 d/da' + l2 d/db', d/db = l1 d/da' + l3 d/db'
-    if order == 0:
-        return (G[0],)
-    if order == 1:
-        return (l0 * G[0] + l2 * G[1], l1 * G[0] + l3 * G[1])
-    return (
-        l0 * l0 * G[0] + 2 * l0 * l2 * G[1] + l2 * l2 * G[2],
-        l0 * l1 * G[0] + (l0 * l3 + l1 * l2) * G[1] + l2 * l3 * G[2],
-        l1 * l1 * G[0] + 2 * l1 * l3 * G[1] + l3 * l3 * G[2],
+
+def _lattice_grid(
+    s: float, z: HalfPlanePoint, n: int, order: int, trunc: SeriesTruncation
+) -> tuple:
+    """:func:`_lattice_sum` in binary64 at every ``(a, b) = (i/n, j/n)``, as
+    ``grid[q][i][j]`` for the partial of ``b``-order ``q``, in one pass.
+
+    ``L`` is unimodular, so it permutes the grid ``(Z/n)^2``: the sum is taken
+    at ``z'`` on the grid ``(a', b') = (i'/n, j'/n)`` and gathered back.  The
+    ellipse is cut once, by the bound the pointwise sum uses.  Column ``b'``
+    fixes the ``d``'s, so each row's ``sum g d^p cos(psi)`` and ``sum g d^p
+    sin(psi)``, ``psi = 2 pi m x d``, are summed once per column; the
+    angle-addition formula with ``theta = 2 pi m a'`` turns them into the row's
+    moments at every ``a'``.  The chain rule is linear, so it is applied to the
+    rows' coefficients.
+    """
+    xr, yr, L, r2 = _reduced_ellipse(s, z, order, trunc, math)
+    h, scale = 2 * math.pi * yr / s, math.sqrt(yr / s)
+    columns = []  # [j'][q]: the coefficients of cos(theta) and sin(theta), by row
+    for jr in range(n):
+        ds, gd, rows = _lattice_column(jr / n, r2, s, yr, order, math)
+        coefs = [[] for _ in range(order + 1)]
+        for m, (weight, lo, hi) in enumerate(rows):
+            U, V = 2 * math.pi * m, 2 * math.pi * m * xr
+            psis = [V * d for d in ds[lo:hi]]
+            cs, ss = list(map(math.cos, psis)), list(map(math.sin, psis))
+            C = [sum(map(mul, g[lo:hi], cs)) for g in gd]
+            S = [sum(map(mul, g[lo:hi], ss)) for g in gd]
+            # cos(theta - psi) = cos cos + sin sin, sin(theta - psi) = sin cos - cos sin
+            on_cos = _row_partials(order, U, V, h, getitem, C, [-v for v in S])
+            on_sin = _row_partials(order, U, V, h, getitem, S, C)
+            w = scale * weight
+            for coef, cq, sq in zip(coefs, _chain(on_cos, L, order), _chain(on_sin, L, order)):
+                coef += (w * cq, w * sq)
+        columns.append(coefs)
+    # trig[i'] = cos and sin of theta = 2 pi m i'/n, by row as in the coefficients
+    trig = [
+        [f(2 * math.pi * (m * i % n) / n) for m in range(len(rows)) for f in (math.cos, math.sin)]
+        for i in range(n)
+    ]
+    # reduced[q][j'][i']
+    reduced = [[[sum(map(mul, c[q], t)) for t in trig] for c in columns] for q in range(order + 1)]
+    l0, l1, l2, l3 = L
+    return tuple(
+        [[red[(l2 * i + l3 * j) % n][(l0 * i + l1 * j) % n] for j in range(n)] for i in range(n)]
+        for red in reduced
     )
 
 
@@ -481,3 +558,7 @@ def tail_bound(kind: str, N: int, **params: float) -> float:
         xr, yr, L = _reduce_point(HalfPlanePoint(params.get("x", 0.0), y), math)
         return _lattice_tail(N * N * math.pi * yr * min(s, 1 / s), s, xr, yr, order, L)
     raise DomainError(f"unknown tail bound kind {kind!r}")
+
+
+# last, so that halfplane finds this module's names when it imports them
+from . import halfplane  # noqa: E402

@@ -16,15 +16,17 @@ middle band, rectangular up to ``alpha = 1``.  The band edges are
     alpha1 = 1/(1 + 2 sigma_1b),   alpha2 = 1/(1 + 2 sigma_1a).
 
 ``critical_census`` enumerates the critical points of ``J(z; ., .)`` on the
-displacement torus (grid localization + damped Newton); the four universal
-points (0,0), (1/2,0), (0,1/2), (1/2,1/2) are critical for every ``z``, and
-the census reports torus representatives — mirror pairs under
+displacement torus (a gradient grid from one kernel pass, sign localization
+and damped Newton); the four universal points (0,0), (1/2,0), (0,1/2),
+(1/2,1/2) are critical for every ``z``, and the census reports torus
+representatives — mirror pairs under
 ``(a, b) -> (1-a, 1-b)`` are listed individually, so the expected counts are
 four (square) and six (hexagonal, where (1/3, 1/3) and (2/3, 2/3) join).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
@@ -36,6 +38,7 @@ from .kernels import (
     HalfPlanePoint,
     SeriesTruncation,
     _jacobi_jet,
+    _lattice_grid,
     _lattice_sum,
     theta2d,
     theta2d_shifted,
@@ -112,6 +115,16 @@ def _j_partials(z: HalfPlanePoint, a: float, b: float, order: int, trunc: Series
     (a, -b) (substitute n -> -n), so the odd ``b``-partials change sign."""
     partials = _lattice_sum(1, z, a, -b, order, trunc, math)
     return tuple(p if q % 2 == 0 else -p for q, p in enumerate(partials))
+
+
+def _j_gradient_grid(z: HalfPlanePoint, n: int, trunc: SeriesTruncation):
+    """``(J_a, J_b)`` of :func:`_j_partials` at every ``(a, b) = (i/n, j/n)``, as
+    ``[i][j]`` lists, from one kernel grid at displacement ``(a, -b)``."""
+    fa, fb = _lattice_grid(1, z, n, 1, trunc)
+    # column j of J is column -j mod n of F
+    ga = [row[:1] + row[:0:-1] for row in fa]
+    gb = [[-v for v in row[:1] + row[:0:-1]] for row in fb]
+    return ga, gb
 
 
 def hessian_universal(
@@ -254,7 +267,8 @@ class Alpha0Result(NamedTuple):
 
 
 def solve_alpha0(trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> Alpha0Result:
-    """Coupling below which the displaced hexagonal state beats the rhombic one.
+    """Coupling below which the displaced hexagonal state beats the rhombic one
+    (cached per truncation, like :func:`~latticetheta.functionals.thresholds`).
 
     Solves  theta(1; z0) + alpha J(z0; 1/3, 1/3) = E_rhombic(alpha)  on the
     bracket [0.10, 0.24] down to a few ulps, by the Illinois false position
@@ -266,6 +280,11 @@ def solve_alpha0(trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> Alpha0Result:
 
     which alpha0 may not exceed.
     """
+    return _cached_alpha0(trunc)
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_alpha0(trunc: SeriesTruncation) -> Alpha0Result:
     third = Displacement(1.0 / 3.0, 1.0 / 3.0)
     t_hex = theta2d(1, HEXAGONAL_POINT, trunc)
     j_hex = j_eval(HEXAGONAL_POINT, third, trunc=trunc)
@@ -286,6 +305,10 @@ def solve_alpha0(trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> Alpha0Result:
         j_hex - j_eval(square, UNIVERSAL_POINTS["w3"], trunc=trunc)
     )
     return Alpha0Result(alpha0, optimal_lattice(alpha0, trunc).angle_or_ratio, rough)
+
+
+solve_alpha0.cache_info = _cached_alpha0.cache_info
+solve_alpha0.cache_clear = _cached_alpha0.cache_clear
 
 
 # ---------------------------------------------------------------------------
@@ -363,11 +386,7 @@ def critical_census(
     if grid_n < 32:
         raise DomainError(f"census grid must have at least 32 points, got {grid_n}")
     h = 1.0 / grid_n
-    ga = [[0.0] * grid_n for _ in range(grid_n)]
-    gb = [[0.0] * grid_n for _ in range(grid_n)]
-    for i in range(grid_n):
-        for j in range(grid_n):
-            ga[i][j], gb[i][j] = _j_partials(z, i * h, j * h, 1, trunc)
+    ga, gb = _j_gradient_grid(z, grid_n, trunc)
 
     seeds = [(d.a, d.b) for d in UNIVERSAL_POINTS.values()]
     for i in range(grid_n):

@@ -39,6 +39,7 @@ from .kernels import (
     TruncationError,
     theta2d,
 )
+from .polydata import STATED_VALUES, SUITES
 
 __all__ = [
     "BoundKit",
@@ -632,19 +633,6 @@ def _suite_identities(trunc: SeriesTruncation) -> List[CheckRow]:
     return rows
 
 
-#: The source's printed constants, for the thresholds suite and command.
-STATED_VALUES = {
-    "rho1": 0.04016680351,
-    "rho2": 1.190861337,
-    "sigma2b": 24.89618074,
-    "alpha0": 0.1726645,
-    "theta_alpha0": 1.186248384,
-    "alpha0_rough_bound": 0.2419435012,
-    "alpha1": 0.3732155067,
-    "alpha2": 0.9256496973,
-}
-
-
 def _suite_thresholds(trunc: SeriesTruncation) -> List[CheckRow]:
     from .phase_diagram import alpha_thresholds, solve_alpha0
 
@@ -695,9 +683,6 @@ def _suite_oracle(trunc: SeriesTruncation, grid_n: int = 400) -> List[CheckRow]:
             dev = max(abs(brute.x - closed.x), abs(brute.y - closed.y))
             rows.append(_row(f"{kind.value}_rho{rho:g}", 0.0, dev, 2 * mesh))
     return rows
-
-
-SUITES = ("identities", "thresholds", "appendix", "oracle", "all")
 
 
 def run_suite(

@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import pytest
@@ -276,6 +279,28 @@ class TestPhase:
         rows = rows_of(out)
         assert float(rows[0]["energy"]) == pytest.approx(0.0, abs=1e-12)
         assert float(rows[-1]["energy"]) == pytest.approx(1.1595952669639287, rel=1e-10)
+
+
+def test_thresholds_then_phase_solve_alpha0_once(capsys):
+    from latticetheta.phase_diagram import solve_alpha0
+
+    solve_alpha0.cache_clear()
+    assert run(capsys, "thresholds")[0] == 0
+    assert run(capsys, "phase", "--sweep=-1:1:5")[0] == 0
+    info = solve_alpha0.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_import_leaves_numpy_unloaded():
+    code = "import sys, latticetheta, latticetheta.cli; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+    # the verifier's names still resolve, loading it on first use
+    from latticetheta import run_suite, verifier
+
+    assert run_suite is verifier.run_suite
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latticetheta import kernels
 from latticetheta import (
     DEFAULT_TRUNCATION,
     Displacement,
@@ -316,6 +317,22 @@ def test_lattice_kernel_raises_when_max_index_cannot_certify():
     with pytest.raises(TruncationError) as exc:
         j_eval(z, Displacement(0.2, 0.7), 1, 1, tight)
     assert exc.value.achieved_bound == tail_bound("lattice", 1, x=0.3, y=1.4, order=2)
+
+
+@pytest.mark.parametrize(
+    "s,x,y,n", [(1.0, 0.5, 0.9, 32), (2.0, -1.3, 0.4, 33), (0.5, 3.7, 0.05, 35)]
+)
+def test_lattice_grid_matches_30_digit_sums(s, x, y, n):
+    # the pointwise sum forms L (a, b) from rounded a and b, so far from the
+    # fundamental domain the grid is checked against the kernel at 30 digits
+    z, fine = HalfPlanePoint(x, y), SeriesTruncation(max_index=200, tail_tol=1e-30)
+    for order in (0, 1, 2):
+        grid = kernels._lattice_grid(s, z, n, order, DEFAULT_TRUNCATION)
+        for i, j in [(0, 0), (1, n - 1), (n // 2, 3), (n - 5, n // 3), (7, 11), (n - 1, n - 2)]:
+            with mp.workdps(30):
+                want = kernels._lattice_sum(s, z, mp.mpf(i) / n, mp.mpf(j) / n, order, fine, mp.mp)
+            for q, w in enumerate(want):
+                assert abs(grid[q][i][j] - w) <= 1e-12 * (1 + abs(w)), (order, q, i, j)
 
 
 # ---------------------------------------------------------------------------

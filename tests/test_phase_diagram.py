@@ -14,6 +14,7 @@ from latticetheta.kernels import (
     DomainError,
     HalfPlanePoint,
     SeriesTruncation,
+    TruncationError,
     theta1d,
     theta2d,
     theta2d_shifted,
@@ -344,6 +345,7 @@ class TestOptimalLattice:
 
 class TestAlpha0:
     def test_crossing_value(self, monkeypatch):
+        solve_alpha0.cache_clear()  # count a cold solve
         calls = []
         original = phase_diagram.optimal_lattice
         monkeypatch.setattr(
@@ -373,6 +375,13 @@ class TestAlpha0:
     def test_crossing_sits_inside_rhombic_band(self):
         a1, _ = alpha_thresholds()
         assert 0 < solve_alpha0().alpha0 < a1
+
+    def test_cached_per_truncation(self):
+        solve_alpha0.cache_clear()
+        res = solve_alpha0()
+        assert solve_alpha0(SeriesTruncation()) is res
+        assert solve_alpha0(trunc=SeriesTruncation()) is res
+        assert solve_alpha0.cache_info().currsize == 1
 
 
 class TestCriticalCensus:
@@ -425,6 +434,30 @@ class TestCriticalCensus:
     def test_rejects_coarse_grid(self):
         with pytest.raises(DomainError):
             critical_census(SQUARE, grid_n=16)
+
+    @pytest.mark.parametrize("n", [32, 37])
+    @pytest.mark.parametrize(
+        "x,y", [(0.5, math.sqrt(3) / 2), (3.7, 0.05), (-1.3, 0.4), (0.2, 7.0)]
+    )
+    def test_gradient_grid_matches_pointwise_partials(self, x, y, n):
+        # the census grid is reduced once and gathered back through L; every
+        # grid point must agree with its own pointwise kernel pass
+        z = HalfPlanePoint(x, y)
+        ga, gb = phase_diagram._j_gradient_grid(z, n, SeriesTruncation())
+        for i in range(n):
+            for j in range(n):
+                pa, pb = phase_diagram._j_partials(z, i / n, j / n, 1, SeriesTruncation())
+                assert abs(ga[i][j] - pa) <= 1e-13 * (1 + abs(pa)), (i, j)
+                assert abs(gb[i][j] - pb) <= 1e-13 * (1 + abs(pb)), (i, j)
+
+    @pytest.mark.parametrize("x,y", [(0.3, 1.4), (3.7, 0.05)])
+    def test_census_raises_with_the_pointwise_bound(self, x, y):
+        z, tight = HalfPlanePoint(x, y), SeriesTruncation(max_index=2)
+        with pytest.raises(TruncationError) as census:
+            critical_census(z, grid_n=32, trunc=tight)
+        with pytest.raises(TruncationError) as point:
+            phase_diagram._j_partials(z, 0.25, 0.5, 1, tight)
+        assert 1e-13 < census.value.achieved_bound == point.value.achieved_bound < math.inf
 
     def test_report_count_guard(self):
         with pytest.raises(DomainError):

@@ -43,6 +43,20 @@ AA_MONOMIALS = ((0, 1), (2, 2), (8, 4), (10, 4), (16, 4), (18, 2))
 AA_MONOMIALS_5TERM = ((0, 1), (2, 2), (8, 4), (10, 4), (18, 2))  # drops 4 e^{-4 pi y}
 BA_TERMS = ((2, 2), (4, -4), (10, 4), (18, 2))
 
+# The source's printed constants and the verifier's suite names, emitted with
+# the tables so that the CLI reads them without importing numpy.
+STATED_VALUES = {
+    "rho1": 0.04016680351,
+    "rho2": 1.190861337,
+    "sigma2b": 24.89618074,
+    "alpha0": 0.1726645,
+    "theta_alpha0": 1.186248384,
+    "alpha0_rough_bound": 0.2419435012,
+    "alpha1": 0.3732155067,
+    "alpha2": 0.9256496973,
+}
+SUITES = ("identities", "thresholds", "appendix", "oracle", "all")
+
 
 def series_expr(terms):
     return sum(c * sp.sqrt(y) * sp.exp(-sp.Rational(r, 4) * sp.pi * y) for r, c in terms)
@@ -326,6 +340,10 @@ def main():
         "the 4*exp(-4*pi*y) monomial of the A-series approximant); FAB_DERIVED",
         "keeps all six monomials.  FXY_WEIGHTED corrects two misprints",
         "(1465536 for 1465533, and -1400640*pi**4*y**4 for a garbled monomial).",
+        "",
+        "STATED_VALUES are the source's printed constants (the thresholds suite",
+        "and command) and SUITES the names run_suite accepts; this module",
+        "imports nothing, so the CLI reads them without loading numpy.",
         '"""',
         "",
     ]
@@ -342,7 +360,9 @@ def main():
         ("BA_TERMS", BA_TERMS),
     ]:
         lines.append(f"{name} = {tuple(terms)!r}")
-    lines.append("")
+    lines += ["", "STATED_VALUES = {"]
+    lines += [f'    "{key}": {value!r},' for key, value in STATED_VALUES.items()]
+    lines += ["}", f"SUITES = {SUITES!r}", ""]
     out.write_text("\n".join(lines))
     print(f"wrote {out}")
 
