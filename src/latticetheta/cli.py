@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -23,6 +24,7 @@ from .functionals import (
     FunctionalKind,
     NoRootError,
     _quotient_thresholds,
+    _w_value,
     minimizer,
     thresholds,
     w_eval,
@@ -133,15 +135,7 @@ def cmd_eval(args: argparse.Namespace) -> Tuple[List[Dict[str, Any]], int]:
     elif args.expr in ("W1", "W2"):
         kind = FunctionalKind.W1 if args.expr == "W1" else FunctionalKind.W2
         row.update(rho=args.rho, x=z.x, y=z.y)
-        if ctx is math:
-            row["value"] = w_eval(kind, args.rho, z, trunc)
-        else:
-            s_shift, s_plain = (2, 1) if kind is FunctionalKind.W1 else (1, 2)
-            row["value"] = _narrow(
-                theta2d_shifted(s_shift, z, trunc, ctx)
-                + args.rho * theta2d(s_plain, z, trunc, ctx),
-                ctx,
-            )
+        row["value"] = _narrow(_w_value(kind, args.rho, z, trunc, ctx), ctx)
     elif args.expr == "J":
         if args.precision == "extended":
             raise UsageError("extended precision is not available for J")
@@ -418,9 +412,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser every :func:`main` call in a process shares; built on first use."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     ctx = _context(args)
     try:
         with contextlib.nullcontext() if ctx is math else ctx.workdps(_EXTENDED_DPS):

@@ -71,6 +71,7 @@ SQRT3 = math.sqrt(3.0)
 _BRACKET_LO = 1.0 + 1e-9
 _POLISH_RESIDUAL = 1e-12
 _EXPANSION_RADIUS = 3e-5
+_CORNER = HalfPlanePoint(0.0, 1.0)
 
 
 class NoRootError(ArithmeticError):
@@ -126,17 +127,41 @@ _LAH = ((1,), (2, 1), (6, 6, 1), (24, 36, 12, 1))
 
 def _pair_derivative(
     kind: str, alpha: float, y: float, order: int, trunc: SeriesTruncation, ctx: Any
-) -> float:
-    """d^order/dy^order of theta_kind(alpha y) * theta_kind(alpha / y), from one
-    derivative jet of each factor; for the second, Faa di Bruno's formula for
-    h(alpha / y) is (-1)^n sum_k L(n, k) alpha^k y^(-n-k) h^(k)(alpha / y)."""
+) -> list:
+    """d^n/dy^n of theta_kind(alpha y) * theta_kind(alpha / y) for n = 0..order,
+    from one derivative jet of each factor; for the second, Faa di Bruno's
+    formula for h(alpha / y) is (-1)^n sum_k L(n, k) alpha^k y^(-n-k) h^(k)(alpha / y)."""
     f = [v * alpha**j for j, v in enumerate(_jacobi_jet(kind, alpha * y, order, trunc, ctx))]
     h = _jacobi_jet(kind, alpha / y, order, trunc, ctx)
     g = [h[0]] + [
         (-1) ** n * sum(c * alpha**k / y ** (n + k) * h[k] for k, c in enumerate(_LAH[n - 1], 1))
         for n in range(1, order + 1)
     ]
-    return sum(math.comb(order, i) * f[i] * g[order - i] for i in range(order + 1))
+    jet = []
+    for n in range(order + 1):  # Leibniz's rule, in plain loops: generators doubled its cost
+        total = 0
+        for i in range(n + 1):
+            total += math.comb(n, i) * f[i] * g[n - i]
+        jet.append(total)
+    return jet
+
+
+def _xyab_jet(which: XYABKind, y: float, order: int, trunc: SeriesTruncation, ctx: Any) -> list:
+    """X, Y, A or B and its derivatives in y of orders 0..order, from one jet
+    per theta factor."""
+    if not y > 0:
+        raise DomainError(f"xyab needs y > 0, got {y}")
+    if which is XYABKind.X:
+        return _pair_derivative("three", 1, y, order, trunc, ctx)
+    if which is XYABKind.Y:
+        three = _pair_derivative("three", 4, y, order, trunc, ctx)
+        two = _pair_derivative("two", 4, y, order, trunc, ctx)
+        return [2 * (u + v) for u, v in zip(three, two)]
+    if which is XYABKind.A:
+        return [ctx.sqrt(2) * v for v in _pair_derivative("three", 2, y, order, trunc, ctx)]
+    if which is XYABKind.B:
+        return [ctx.sqrt(2) * v for v in _pair_derivative("two", 2, y, order, trunc, ctx)]
+    raise DomainError(f"unknown building block {which!r}")
 
 
 def xyab(
@@ -147,22 +172,9 @@ def xyab(
     ctx: Any = math,
 ) -> float:
     """Evaluate X, Y, A or B, or a derivative in y up to fourth order."""
-    if not y > 0:
-        raise DomainError(f"xyab needs y > 0, got {y}")
     if order not in (0, 1, 2, 3, 4):
         raise DomainError(f"derivative order must be 0..4, got {order}")
-    if which is XYABKind.X:
-        return _pair_derivative("three", 1, y, order, trunc, ctx)
-    if which is XYABKind.Y:
-        return 2 * (
-            _pair_derivative("three", 4, y, order, trunc, ctx)
-            + _pair_derivative("two", 4, y, order, trunc, ctx)
-        )
-    if which is XYABKind.A:
-        return ctx.sqrt(2) * _pair_derivative("three", 2, y, order, trunc, ctx)
-    if which is XYABKind.B:
-        return ctx.sqrt(2) * _pair_derivative("two", 2, y, order, trunc, ctx)
-    raise DomainError(f"unknown building block {which!r}")
+    return _xyab_jet(which, y, order, trunc, ctx)[order]
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +230,47 @@ def w_eval(
     z: HalfPlanePoint,
     trunc: SeriesTruncation = DEFAULT_TRUNCATION,
 ) -> float:
-    """W1,rho(z) = theta(2;(z+1)/2) + rho theta(1;z), and the W2 companion."""
+    """W1,rho(z) = theta(2;(z+1)/2) + rho theta(1;z), and the W2 companion.
+
+    The rho-free thetas at the corner z = i are cached per truncation
+    (``w_eval.cache_info``/``cache_clear``)."""
+    return _w_value(kind, rho, z, trunc, math)
+
+
+def _w_value(
+    kind: FunctionalKind, rho: float, z: HalfPlanePoint, trunc: SeriesTruncation, ctx: Any
+) -> float:
+    """:func:`w_eval` in the arithmetic of ``ctx`` (the CLI's extended precision)."""
     if not rho >= 0:
         raise DomainError(f"w_eval needs rho >= 0, got {rho}")
+    shifted, plain = _w_parts(kind, z, trunc, ctx)
+    return shifted + rho * plain
+
+
+def _w_parts(
+    kind: FunctionalKind, z: HalfPlanePoint, trunc: SeriesTruncation, ctx: Any
+) -> Tuple[float, float]:
+    """The rho-free thetas of W = shifted + rho * plain: theta(2;(z+1)/2) and
+    theta(1;z) for W1, theta(1;(z+1)/2) and theta(2;z) for W2.  In binary64
+    the corner z = i (x = +0.0 exactly) is read from a cache per truncation."""
     if kind is FunctionalKind.W1:
-        return theta2d_shifted(2, z, trunc) + rho * theta2d(1, z, trunc)
-    if kind is FunctionalKind.W2:
-        return theta2d_shifted(1, z, trunc) + rho * theta2d(2, z, trunc)
-    raise DomainError(f"unknown functional {kind!r}")
+        s_shift, s_plain = 2, 1
+    elif kind is FunctionalKind.W2:
+        s_shift, s_plain = 1, 2
+    else:
+        raise DomainError(f"unknown functional {kind!r}")
+    if ctx is math and z.x == 0.0 and z.y == 1.0 and math.copysign(1.0, z.x) > 0:
+        return _corner_parts(s_shift, s_plain, trunc)
+    return theta2d_shifted(s_shift, z, trunc, ctx), theta2d(s_plain, z, trunc, ctx)
+
+
+@functools.lru_cache(maxsize=16)
+def _corner_parts(s_shift: int, s_plain: int, trunc: SeriesTruncation) -> Tuple[float, float]:
+    return theta2d_shifted(s_shift, _CORNER, trunc), theta2d(s_plain, _CORNER, trunc)
+
+
+w_eval.cache_info = _corner_parts.cache_info
+w_eval.cache_clear = _corner_parts.cache_clear
 
 
 def _branch_window(kind: FunctionalKind, trunc: SeriesTruncation) -> float:
@@ -244,9 +289,12 @@ def solve_y_branch(
     unique.  :func:`_bracketed_root` runs on [1 + 1e-9, sqrt(3)] until the
     residual is at most 1e-12 (near the top of the window the quotient's
     float noise can exceed that; the search then stops when the bracket is
-    a few ulps wide).  ``c`` must lie in [0, window) where the window is
-    2*rho1 for W1 and rho2 for W2; past the window there is no root and the
-    minimizer sits at the corner.
+    a few ulps wide).  The quotient at the two bracket ends does not depend
+    on ``c``, so it is computed once per kind and truncation (the cache is
+    ``solve_y_branch.cache_info``/``cache_clear``) and only ``c`` is added per
+    call.  ``c`` must lie in [0, window) where the window is 2*rho1 for W1
+    and rho2 for W2; past the window there is no root and the minimizer sits
+    at the corner.
     """
     if not c >= 0:
         raise DomainError(f"solve_y_branch needs c >= 0, got {c}")
@@ -258,19 +306,29 @@ def solve_y_branch(
             f"{_branch_window(kind, trunc):.12f}; no segment root exists"
         )
 
-    # every iterate lies above _BRACKET_LO, clear of quotient's L'Hopital branch
-    if kind is FunctionalKind.W1:
-        f = lambda t: quotient("ZofXY", t, trunc) + c
-    else:
-        f = lambda t: 1 + quotient("CofAB", t, trunc) + c
+    # every iterate lies above _BRACKET_LO, clear of quotient's L'Hopital branch;
+    # adding the offset before c keeps q + c (W1) and (1 + q) + c (W2) bit for bit
+    qkind, offset = ("ZofXY", 0.0) if kind is FunctionalKind.W1 else ("CofAB", 1.0)
+    f = lambda t: (offset + quotient(qkind, t, trunc)) + c
+    qlo, qhi = _bracket_ends(qkind, trunc)
     lo, hi = _BRACKET_LO, SQRT3
-    flo, fhi = f(lo), f(hi)
+    flo, fhi = (offset + qlo) + c, (offset + qhi) + c
     if not flo < 0 < fhi:
         raise NoRootError(
             f"{kind.value}: no sign change on the bracket for c = {c} "
             f"(f(lo) = {flo:.3e}, f(hi) = {fhi:.3e})"
         )
     return _bracketed_root(f, lo, flo, hi, fhi, _POLISH_RESIDUAL)
+
+
+@functools.lru_cache(maxsize=16)
+def _bracket_ends(qkind: str, trunc: SeriesTruncation) -> Tuple[float, float]:
+    """The quotient at both ends of the branch bracket, which do not depend on c."""
+    return quotient(qkind, _BRACKET_LO, trunc), quotient(qkind, SQRT3, trunc)
+
+
+solve_y_branch.cache_info = _bracket_ends.cache_info
+solve_y_branch.cache_clear = _bracket_ends.cache_clear
 
 
 def _bracketed_root(
@@ -370,13 +428,13 @@ def quotient_derivative(
     top, bot = _quotient_pair(kind)
     d = y - 1.0
     if abs(d) <= _EXPANSION_RADIUS:
-        n2, n3, n4 = (xyab(top, 1.0, k, trunc) for k in (2, 3, 4))
-        d2, d3, d4 = (xyab(bot, 1.0, k, trunc) for k in (2, 3, 4))
+        _, _, n2, n3, n4 = _xyab_jet(top, 1.0, 4, trunc, math)
+        _, _, d2, d3, d4 = _xyab_jet(bot, 1.0, 4, trunc, math)
         p, dp = n2 + n3 * d / 2 + n4 * d * d / 6, n3 / 2 + n4 * d / 3
         r, dr = d2 + d3 * d / 2 + d4 * d * d / 6, d3 / 2 + d4 * d / 3
         return (dp * r - p * dr) / (r * r)
-    n1, n2 = xyab(top, y, 1, trunc), xyab(top, y, 2, trunc)
-    d1, d2 = xyab(bot, y, 1, trunc), xyab(bot, y, 2, trunc)
+    _, n1, n2 = _xyab_jet(top, y, 2, trunc, math)
+    _, d1, d2 = _xyab_jet(bot, y, 2, trunc, math)
     return (n2 * d1 - n1 * d2) / (d1 * d1)
 
 

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
-from .functionals import FunctionalKind, _bracketed_root, minimizer, thresholds
+from .functionals import FunctionalKind, _bracketed_root, _w_parts, minimizer, thresholds
 from .kernels import (
     DEFAULT_TRUNCATION,
     DomainError,
@@ -41,7 +41,6 @@ from .kernels import (
     _lattice_grid,
     _lattice_sum,
     theta2d,
-    theta2d_shifted,
 )
 
 __all__ = [
@@ -208,7 +207,8 @@ class PhaseRow:
 
 def _half_half_energy(alpha: float, z: HalfPlanePoint, trunc: SeriesTruncation) -> float:
     # theta(1;z) + alpha J(z;1/2,1/2) = (1-alpha) theta(1;z) + 2 alpha theta(2;(z+1)/2)
-    return (1 - alpha) * theta2d(1, z, trunc) + 2 * alpha * theta2d_shifted(2, z, trunc)
+    shifted, plain = _w_parts(FunctionalKind.W1, z, trunc, math)
+    return (1 - alpha) * plain + 2 * alpha * shifted
 
 
 def alpha_thresholds(trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> Tuple[float, float]:
@@ -246,15 +246,30 @@ def phase_row(alpha: float, trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> Pha
     """Phase-diagram row for any alpha in [-1, 1].
 
     Non-positive couplings favor the coincident hexagonal configuration
-    (d = (0,0), energy (1 + alpha) theta(1; z0)); positive couplings follow
+    (d = (0,0), energy (1 + alpha) theta(1; z0), summed as theta(1; z0) +
+    alpha J(z0; 0, 0) from two terms cached per truncation:
+    ``phase_row.cache_info``/``cache_clear``); positive couplings follow
     :func:`optimal_lattice`.
     """
     if not -1.0 <= alpha <= 1.0:
         raise DomainError(f"coupling must lie in [-1, 1], got {alpha}")
     if alpha <= 0.0:
-        e = energy(alpha, HEXAGONAL_POINT, Displacement(0.0, 0.0), trunc)
-        return PhaseRow(alpha, "hexagonal", HEXAGONAL_POINT, math.pi / 3, e)
+        t_hex, j_hex = _coincident_hexagonal(trunc)
+        return PhaseRow(alpha, "hexagonal", HEXAGONAL_POINT, math.pi / 3, t_hex + alpha * j_hex)
     return optimal_lattice(alpha, trunc)
+
+
+@functools.lru_cache(maxsize=8)
+def _coincident_hexagonal(trunc: SeriesTruncation) -> Tuple[float, float]:
+    """theta(1; z0) and J(z0; 0, 0), the terms of :func:`energy` at the hexagonal row."""
+    return (
+        theta2d(1, HEXAGONAL_POINT, trunc),
+        j_eval(HEXAGONAL_POINT, UNIVERSAL_POINTS["w0"], trunc=trunc),
+    )
+
+
+phase_row.cache_info = _coincident_hexagonal.cache_info
+phase_row.cache_clear = _coincident_hexagonal.cache_clear
 
 
 class Alpha0Result(NamedTuple):

@@ -147,6 +147,14 @@ class TestEval:
         )
         assert code == 2 and "extended" in err
 
+    @pytest.mark.parametrize("precision", ["double", "extended"])
+    def test_w_rejects_a_negative_weight(self, capsys, precision):
+        code, out, err = run(
+            capsys, "eval", "W1", "--rho", "-1", "--z", "0.1+1.2i", "--precision", precision
+        )
+        assert code == 2 and out == ""
+        assert "w_eval needs rho >= 0" in err
+
     def test_bad_point_is_a_usage_error(self, capsys):
         code, _, err = run(capsys, "eval", "theta", "--z", "0-2i")
         assert code == 2 and "error:" in err
@@ -237,6 +245,25 @@ class TestTrajectory:
         assert not flags[6]
         assert all(flags[:6]) and all(flags[7:])
 
+    def test_plateau_rows_share_one_corner_evaluation(self, capsys, monkeypatch):
+        """Every W2 row with rho in [rho2, 1/rho1] sits at i; the table's
+        lattice-theta calls do not grow with the number of such rows."""
+        from latticetheta import functionals
+
+        counts = []
+        for n in (4, 40):
+            calls = []
+            functionals.w_eval.cache_clear()
+            with monkeypatch.context() as m:
+                for name in ("theta2d", "theta2d_shifted"):
+                    original = getattr(functionals, name)
+                    m.setattr(functionals, name, lambda *a, _f=original: calls.append(a) or _f(*a))
+                code, out, _ = run(capsys, "trajectory", "W2", "--sweep", f"2:20:{n}")
+            assert code == 0
+            assert [r["branch"] for r in rows_of(out)] == ["corner"] * n
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == 2
+
     def test_rows_are_ordered_and_values_certified(self, capsys):
         from latticetheta.functionals import FunctionalKind, w_eval
         from latticetheta import HalfPlanePoint
@@ -289,6 +316,19 @@ def test_thresholds_then_phase_solve_alpha0_once(capsys):
     assert run(capsys, "phase", "--sweep=-1:1:5")[0] == 0
     info = solve_alpha0.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    from latticetheta import cli
+
+    built = []
+    original = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or original())
+    cli._parser.cache_clear()
+    assert run(capsys, "thresholds")[0] == 0
+    assert run(capsys, "eval", "theta")[0] == 0
+    assert len(built) == 1
+    assert original() is not original()  # the public builder stays fresh
 
 
 def test_import_leaves_numpy_unloaded():

@@ -250,6 +250,27 @@ def test_w_eval_axis_identities(y, rho):
     assert w_eval(W2, rho, inv) == pytest.approx(w2, rel=1e-10)
 
 
+def test_w_eval_reads_the_corner_from_a_cache(monkeypatch):
+    """At z = i the rho-free thetas are summed once per truncation; a point that
+    only compares equal to i (x = -0.0) still goes to the kernel."""
+    corner, signed = HalfPlanePoint(0.0, 1.0), HalfPlanePoint(-0.0, 1.0)
+    w_eval.cache_clear()
+    for kind in (W1, W2):
+        w_eval(kind, 0.7, corner)  # fills the cache
+    calls = []
+    for name in ("theta2d", "theta2d_shifted"):
+        original = getattr(functionals, name)
+        monkeypatch.setattr(
+            functionals, name, lambda *a, _f=original: calls.append(a) or _f(*a)
+        )
+    for kind, (s_shift, s_plain) in ((W1, (2, 1)), (W2, (1, 2))):
+        for z, kernel_calls in ((corner, 0), (signed, 2)):
+            calls.clear()
+            assert w_eval(kind, 0.7, z) == theta2d_shifted(s_shift, z) + 0.7 * theta2d(s_plain, z)
+            assert len(calls) == kernel_calls
+    assert w_eval.cache_info().currsize == 2
+
+
 def test_w_eval_rejects_negative_weight():
     with pytest.raises(DomainError):
         w_eval(W1, -0.1, HalfPlanePoint(0, 1))
@@ -305,12 +326,33 @@ def test_branch_root_residuals(kind, cs, monkeypatch):
     counted = lambda *args, **kwargs: calls.append(args) or xyab(*args, **kwargs)
     for c in cs:
         calls.clear()
+        solve_y_branch.cache_clear()  # count a cold solve
         with monkeypatch.context() as m:
             m.setattr(functionals, "xyab", counted)
             y = solve_y_branch(kind, c)
         assert len(calls) <= budget
         assert 1.0 < y <= SQRT3
         assert abs(quotient(qkind, y) + offset + c) <= 1e-12
+
+
+@pytest.mark.parametrize("kind,c_warm,c", [(W1, 0.02, 0.07), (W2, 0.3, 1.0)])
+def test_bracket_ends_are_evaluated_once_per_kind(kind, c_warm, c, monkeypatch):
+    """The quotient at 1 + 1e-9 and sqrt(3) does not depend on c: a solve after
+    the first skips those 4 building-block calls and finds the same root."""
+    thresholds(functionals.DEFAULT_TRUNCATION)  # the key solve_y_branch uses
+    calls = []
+    counted = lambda *args, **kwargs: calls.append(args) or xyab(*args, **kwargs)
+    monkeypatch.setattr(functionals, "xyab", counted)
+    solve_y_branch.cache_clear()
+    cold = solve_y_branch(kind, c)
+    cold_calls = len(calls)
+    solve_y_branch.cache_clear()
+    solve_y_branch(kind, c_warm)
+    calls.clear()
+    warm = solve_y_branch(kind, c)
+    assert cold_calls - len(calls) == 4
+    assert warm == cold
+    assert solve_y_branch.cache_info().currsize == 1
 
 
 def test_branch_root_against_dense_scan():
@@ -531,6 +573,20 @@ def test_quotient_derivative_near_one_matches_mpmath(dy):
             n1, n2, d1, d2 = (mp.diff(f, ym, k) for f in (num, den) for k in (1, 2))
             ref = float((n2 * d1 - n1 * d2) / d1**2)
         assert quotient_derivative(kind, y) == pytest.approx(ref, rel=1e-3)
+
+
+@pytest.mark.parametrize("kind,passes", [("ZofXY", 6), ("CofAB", 4)])
+@pytest.mark.parametrize("y,order", [(1.4, 2), (0.6, 2), (1 + 1e-5, 4), (1.0, 4)])
+def test_quotient_derivative_takes_each_block_from_one_jet(kind, passes, y, order, monkeypatch):
+    """Every order of N' and D' comes from one pass per theta factor: orders
+    0..2 at a generic point, orders 0..4 of the expansion at y = 1."""
+    calls = []
+    original = functionals._jacobi_jet
+    monkeypatch.setattr(
+        functionals, "_jacobi_jet", lambda *args: calls.append(args) or original(*args)
+    )
+    quotient_derivative(kind, y)
+    assert [args[2] for args in calls] == [order] * passes
 
 
 def test_quotient_scan_validation():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticetheta import phase_diagram
+from latticetheta import functionals, phase_diagram
 from latticetheta.halfplane import IDENTITY, INVERSION, REFLECTION, TRANSLATION, apply, compose
 from latticetheta.kernels import (
     DomainError,
@@ -336,6 +336,22 @@ class TestOptimalLattice:
     def test_phase_row_positive_coupling_delegates(self):
         assert phase_row(0.4) == optimal_lattice(0.4)
 
+    def test_warm_hexagonal_rows_make_no_kernel_call(self, monkeypatch):
+        from latticetheta import kernels
+
+        phase_row.cache_clear()
+        alphas = (-1.0, -0.37, -0.0, 0.0)
+        expected = [energy(a, HEXAGONAL_POINT, Displacement(0.0, 0.0)) for a in alphas]
+        phase_row(-0.5)  # fills the cache
+
+        def kernel(*args, **kwargs):
+            raise AssertionError("a warm hexagonal row reached the lattice kernel")
+
+        monkeypatch.setattr(kernels, "_lattice_sum", kernel)  # theta2d, theta2d_shifted
+        monkeypatch.setattr(phase_diagram, "_lattice_sum", kernel)  # j_eval
+        assert [phase_row(a).energy for a in alphas] == expected
+        assert phase_row.cache_info().currsize == 1
+
     def test_phase_row_shape_consistency_guard(self):
         with pytest.raises(DomainError):
             PhaseRow(0.5, "square", HalfPlanePoint(0.0, 1.5), 1.0, 1.0)
@@ -345,7 +361,9 @@ class TestOptimalLattice:
 
 class TestAlpha0:
     def test_crossing_value(self, monkeypatch):
-        solve_alpha0.cache_clear()  # count a cold solve
+        # count a cold solve
+        for cache in (solve_alpha0, functionals.solve_y_branch, functionals.w_eval):
+            cache.cache_clear()
         calls = []
         original = phase_diagram.optimal_lattice
         monkeypatch.setattr(
