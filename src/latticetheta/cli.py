@@ -23,10 +23,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from .functionals import (
     FunctionalKind,
     NoRootError,
-    _quotient_thresholds,
+    _thresholds,
     _w_value,
     minimizer,
-    thresholds,
     w_eval,
 )
 from .kernels import (
@@ -170,12 +169,8 @@ def _threshold_table(
 
 def cmd_thresholds(args: argparse.Namespace) -> Tuple[List[Dict[str, Any]], int]:
     trunc = _truncation(args)
-    ctx = _context(args)
-    if ctx is math:
-        th = thresholds(trunc)
-        rho1, rho2 = th.rho1, th.rho2
-    else:
-        rho1, rho2 = _quotient_thresholds(trunc, ctx)
+    th = _thresholds(trunc, _context(args))
+    rho1, rho2 = th.rho1, th.rho2
     # the band edges follow from the thresholds by the weight substitution
     alpha1 = rho2 / (rho2 + 2)
     alpha2 = 1 / (1 + 2 * rho1)
@@ -419,6 +414,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):  # argparse takes "-0.3+0.7i" for an option
+        if argv[i - 1] == "--z" and argv[i].startswith("-"):
+            argv[i - 1 : i + 1] = ["--z=" + argv[i]]
     args = _parser().parse_args(argv)
     ctx = _context(args)
     try:

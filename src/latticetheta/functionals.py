@@ -33,7 +33,6 @@ from the *other* functional's segment root.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, Tuple
@@ -44,6 +43,7 @@ from .kernels import (
     DomainError,
     HalfPlanePoint,
     SeriesTruncation,
+    _cached,
     _jacobi_jet,
     theta2d,
     theta2d_shifted,
@@ -192,20 +192,20 @@ def _quotient_thresholds(trunc: SeriesTruncation, ctx: Any) -> Tuple[float, floa
 
 
 def thresholds(trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> Thresholds:
-    """Quotient thresholds from the second derivatives at y = 1 (cached).
+    """Quotient thresholds from the second derivatives at y = 1.
 
     rho1 = -Y''(1)/(2 X''(1)) and rho2 = -1 - B''(1)/A''(1); the sigma fields
-    are filled by the reciprocal relations of the trajectory theorems.
+    are filled by the reciprocal relations of the trajectory theorems.  The
+    cache is keyed on the truncation, plus the precision of the backend the
+    CLI's extended table passes (``thresholds.cache_info``/``cache_clear``);
+    thresholds() and thresholds(DEFAULT_TRUNCATION) share an entry.
     """
-    # one positional key per truncation: thresholds() and
-    # thresholds(DEFAULT_TRUNCATION) share a cache entry
-    return _cached_thresholds(trunc)
+    return _thresholds(trunc, math)
 
 
-# ctx stays out of the cache key: mpmath.mp is one object at every precision
-@functools.lru_cache(maxsize=8)
-def _cached_thresholds(trunc: SeriesTruncation) -> Thresholds:
-    rho1, rho2 = _quotient_thresholds(trunc, math)
+@_cached(thresholds)
+def _thresholds(trunc: SeriesTruncation, ctx: Any) -> Thresholds:
+    rho1, rho2 = _quotient_thresholds(trunc, ctx)
     return Thresholds(
         rho1=rho1,
         rho2=rho2,
@@ -214,10 +214,6 @@ def _cached_thresholds(trunc: SeriesTruncation) -> Thresholds:
         sigma2a=rho2,
         sigma2b=1 / rho1,
     )
-
-
-thresholds.cache_info = _cached_thresholds.cache_info
-thresholds.cache_clear = _cached_thresholds.cache_clear
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +228,9 @@ def w_eval(
 ) -> float:
     """W1,rho(z) = theta(2;(z+1)/2) + rho theta(1;z), and the W2 companion.
 
-    The rho-free thetas at the corner z = i are cached per truncation
-    (``w_eval.cache_info``/``cache_clear``)."""
+    The rho-free thetas at the corner z = i are cached, keyed on the
+    truncation plus the precision of the backend the CLI's extended ``eval``
+    passes (``w_eval.cache_info``/``cache_clear``)."""
     return _w_value(kind, rho, z, trunc, math)
 
 
@@ -251,26 +248,24 @@ def _w_parts(
     kind: FunctionalKind, z: HalfPlanePoint, trunc: SeriesTruncation, ctx: Any
 ) -> Tuple[float, float]:
     """The rho-free thetas of W = shifted + rho * plain: theta(2;(z+1)/2) and
-    theta(1;z) for W1, theta(1;(z+1)/2) and theta(2;z) for W2.  In binary64
-    the corner z = i (x = +0.0 exactly) is read from a cache per truncation."""
+    theta(1;z) for W1, theta(1;(z+1)/2) and theta(2;z) for W2.  The corner
+    z = i (x = +0.0 exactly) is read from a cache per truncation and precision."""
     if kind is FunctionalKind.W1:
         s_shift, s_plain = 2, 1
     elif kind is FunctionalKind.W2:
         s_shift, s_plain = 1, 2
     else:
         raise DomainError(f"unknown functional {kind!r}")
-    if ctx is math and z.x == 0.0 and z.y == 1.0 and math.copysign(1.0, z.x) > 0:
-        return _corner_parts(s_shift, s_plain, trunc)
+    if z.x == 0.0 and z.y == 1.0 and math.copysign(1.0, z.x) > 0:
+        return _corner_parts(s_shift, s_plain, trunc, ctx)
     return theta2d_shifted(s_shift, z, trunc, ctx), theta2d(s_plain, z, trunc, ctx)
 
 
-@functools.lru_cache(maxsize=16)
-def _corner_parts(s_shift: int, s_plain: int, trunc: SeriesTruncation) -> Tuple[float, float]:
-    return theta2d_shifted(s_shift, _CORNER, trunc), theta2d(s_plain, _CORNER, trunc)
-
-
-w_eval.cache_info = _corner_parts.cache_info
-w_eval.cache_clear = _corner_parts.cache_clear
+@_cached(w_eval)
+def _corner_parts(
+    s_shift: int, s_plain: int, trunc: SeriesTruncation, ctx: Any
+) -> Tuple[float, float]:
+    return theta2d_shifted(s_shift, _CORNER, trunc, ctx), theta2d(s_plain, _CORNER, trunc, ctx)
 
 
 def _branch_window(kind: FunctionalKind, trunc: SeriesTruncation) -> float:
@@ -290,9 +285,9 @@ def solve_y_branch(
     residual is at most 1e-12 (near the top of the window the quotient's
     float noise can exceed that; the search then stops when the bracket is
     a few ulps wide).  The quotient at the two bracket ends does not depend
-    on ``c``, so it is computed once per kind and truncation (the cache is
-    ``solve_y_branch.cache_info``/``cache_clear``) and only ``c`` is added per
-    call.  ``c`` must lie in [0, window) where the window is 2*rho1 for W1
+    on ``c``, so it is computed once per kind and truncation, the cache's key
+    (``solve_y_branch.cache_info``/``cache_clear``), and only ``c`` is added
+    per call.  ``c`` must lie in [0, window) where the window is 2*rho1 for W1
     and rho2 for W2; past the window there is no root and the minimizer sits
     at the corner.
     """
@@ -321,14 +316,10 @@ def solve_y_branch(
     return _bracketed_root(f, lo, flo, hi, fhi, _POLISH_RESIDUAL)
 
 
-@functools.lru_cache(maxsize=16)
+@_cached(solve_y_branch)
 def _bracket_ends(qkind: str, trunc: SeriesTruncation) -> Tuple[float, float]:
     """The quotient at both ends of the branch bracket, which do not depend on c."""
     return quotient(qkind, _BRACKET_LO, trunc), quotient(qkind, SQRT3, trunc)
-
-
-solve_y_branch.cache_info = _bracket_ends.cache_info
-solve_y_branch.cache_clear = _bracket_ends.cache_clear
 
 
 def _bracketed_root(

@@ -27,6 +27,7 @@ switches the same code path to software floats for high-precision work.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from operator import getitem, mul
@@ -118,6 +119,22 @@ class SeriesTruncation:
 
 
 DEFAULT_TRUNCATION = SeriesTruncation()
+
+
+def _cached(public):
+    """The one cache rule: cache a helper on its positional arguments plus the
+    precision of any backend among them (``mpmath.mp`` is one object at every
+    precision), and give ``public`` the cache's ``cache_info``/``cache_clear``."""
+
+    def decorate(helper):
+        cached = functools.lru_cache(maxsize=16)(lambda precs, *args: helper(*args))
+        public.cache_info, public.cache_clear = cached.cache_info, cached.cache_clear
+        return functools.wraps(helper)(
+            lambda *args: cached(tuple(getattr(a, "prec", None) for a in args), *args)
+        )
+
+    return decorate
+
 
 THETA_KINDS = ("two", "three", "four")
 

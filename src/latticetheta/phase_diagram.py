@@ -26,7 +26,6 @@ four (square) and six (hexagonal, where (1/3, 1/3) and (2/3, 2/3) join).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
@@ -37,6 +36,7 @@ from .kernels import (
     DomainError,
     HalfPlanePoint,
     SeriesTruncation,
+    _cached,
     _jacobi_jet,
     _lattice_grid,
     _lattice_sum,
@@ -247,7 +247,7 @@ def phase_row(alpha: float, trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> Pha
 
     Non-positive couplings favor the coincident hexagonal configuration
     (d = (0,0), energy (1 + alpha) theta(1; z0), summed as theta(1; z0) +
-    alpha J(z0; 0, 0) from two terms cached per truncation:
+    alpha J(z0; 0, 0) from two terms cached with the truncation as key:
     ``phase_row.cache_info``/``cache_clear``); positive couplings follow
     :func:`optimal_lattice`.
     """
@@ -259,17 +259,13 @@ def phase_row(alpha: float, trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> Pha
     return optimal_lattice(alpha, trunc)
 
 
-@functools.lru_cache(maxsize=8)
+@_cached(phase_row)
 def _coincident_hexagonal(trunc: SeriesTruncation) -> Tuple[float, float]:
     """theta(1; z0) and J(z0; 0, 0), the terms of :func:`energy` at the hexagonal row."""
     return (
         theta2d(1, HEXAGONAL_POINT, trunc),
         j_eval(HEXAGONAL_POINT, UNIVERSAL_POINTS["w0"], trunc=trunc),
     )
-
-
-phase_row.cache_info = _coincident_hexagonal.cache_info
-phase_row.cache_clear = _coincident_hexagonal.cache_clear
 
 
 class Alpha0Result(NamedTuple):
@@ -283,7 +279,7 @@ class Alpha0Result(NamedTuple):
 
 def solve_alpha0(trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> Alpha0Result:
     """Coupling below which the displaced hexagonal state beats the rhombic one
-    (cached per truncation, like :func:`~latticetheta.functionals.thresholds`).
+    (cached with the truncation as key: ``solve_alpha0.cache_info``/``cache_clear``).
 
     Solves  theta(1; z0) + alpha J(z0; 1/3, 1/3) = E_rhombic(alpha)  on the
     bracket [0.10, 0.24] down to a few ulps, by the Illinois false position
@@ -298,7 +294,7 @@ def solve_alpha0(trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> Alpha0Result:
     return _cached_alpha0(trunc)
 
 
-@functools.lru_cache(maxsize=8)
+@_cached(solve_alpha0)
 def _cached_alpha0(trunc: SeriesTruncation) -> Alpha0Result:
     third = Displacement(1.0 / 3.0, 1.0 / 3.0)
     t_hex = theta2d(1, HEXAGONAL_POINT, trunc)
@@ -320,10 +316,6 @@ def _cached_alpha0(trunc: SeriesTruncation) -> Alpha0Result:
         j_hex - j_eval(square, UNIVERSAL_POINTS["w3"], trunc=trunc)
     )
     return Alpha0Result(alpha0, optimal_lattice(alpha0, trunc).angle_or_ratio, rough)
-
-
-solve_alpha0.cache_info = _cached_alpha0.cache_info
-solve_alpha0.cache_clear = _cached_alpha0.cache_clear
 
 
 # ---------------------------------------------------------------------------

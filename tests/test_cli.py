@@ -155,6 +155,24 @@ class TestEval:
         assert code == 2 and out == ""
         assert "w_eval needs rho >= 0" in err
 
+    def test_negative_x_needs_no_equals_sign(self, capsys, monkeypatch):
+        joined = run(capsys, "eval", "theta", "--z=-0.3+0.7i")
+        assert joined[0] == 0 and float(rows_of(joined[1])[0]["x"]) == -0.3
+        assert run(capsys, "eval", "theta", "--z", "-0.3+0.7i") == joined
+        monkeypatch.setattr(sys, "argv", ["latticetheta", "eval", "theta", "--z", "-0.3+0.7i"])
+        assert main() == 0 and capsys.readouterr().out == joined[1]
+
+    def test_warm_extended_corner_reaches_no_lattice_kernel(self, capsys, monkeypatch):
+        from latticetheta import kernels
+
+        argv = ("eval", "W1", "--z", "0+1i", "--precision", "extended")
+        first = run(capsys, *argv)
+        calls = []
+        original = kernels._lattice_sum
+        monkeypatch.setattr(kernels, "_lattice_sum", lambda *a: calls.append(a) or original(*a))
+        assert run(capsys, *argv) == first and first[0] == 0
+        assert calls == []
+
     def test_bad_point_is_a_usage_error(self, capsys):
         code, _, err = run(capsys, "eval", "theta", "--z", "0-2i")
         assert code == 2 and "error:" in err
@@ -193,6 +211,16 @@ class TestThresholds:
         assert float(by["alpha2"]["computed"]) == pytest.approx(
             0.925649697403935529, abs=1e-15
         )
+
+    def test_second_extended_table_is_read_from_the_cache(self, capsys, monkeypatch):
+        from latticetheta import functionals
+
+        first = run(capsys, "thresholds", "--precision", "extended")
+        calls = []
+        original = functionals.xyab
+        monkeypatch.setattr(functionals, "xyab", lambda *a: calls.append(a) or original(*a))
+        assert run(capsys, "thresholds", "--precision", "extended") == first
+        assert first[0] == 0 and calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,26 @@ def test_thresholds_cached():
     assert thresholds.cache_info().currsize == 1
 
 
+def test_extended_thresholds_are_cached_per_precision(monkeypatch):
+    """mpmath.mp is one object at every precision, so the key carries mp.prec."""
+    from latticetheta.functionals import _thresholds
+
+    thresholds.cache_clear()
+    precs = []
+    original = functionals._quotient_thresholds
+    monkeypatch.setattr(
+        functionals, "_quotient_thresholds", lambda *a: precs.append(mp.mp.prec) or original(*a)
+    )
+    asked = []
+    for dps in (30, 50, 30):
+        with mp.workdps(dps):
+            asked.append(mp.mp.prec)
+            _thresholds(functionals.DEFAULT_TRUNCATION, mp.mp)
+    info = thresholds.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
+    assert precs == asked[:2] and asked[0] < asked[1]  # 50 digits were solved afresh
+
+
 # ---------------------------------------------------------------------------
 # w_eval
 
