@@ -391,8 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_phase.add_argument(
         "--sweep",
         default=None,
-        help="lo:hi[:n[:log]] coupling grid, default -1:1:256 "
-        "(write --sweep=-1:1:41 when lo is negative)",
+        help="lo:hi[:n[:log]] coupling grid, default -1:1:256",
     )
     p_phase.set_defaults(fn=cmd_phase)
 
@@ -416,8 +415,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     for i in range(len(argv) - 1, 0, -1):  # argparse takes "-0.3+0.7i" for an option
-        if argv[i - 1] == "--z" and argv[i].startswith("-"):
-            argv[i - 1 : i + 1] = ["--z=" + argv[i]]
+        if argv[i - 1] in ("--z", "--sweep") and argv[i].startswith("-"):
+            argv[i - 1 : i + 1] = [argv[i - 1] + "=" + argv[i]]
     args = _parser().parse_args(argv)
     ctx = _context(args)
     try:

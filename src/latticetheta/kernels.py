@@ -13,8 +13,8 @@ This module is the numerical foundation of the package.  It evaluates
   into the fundamental domain, carry the displacement through the word, and
   sum the Poisson-summed series on an ellipse certified by a closed-form
   Gaussian bound (the genus-1 case of Deconinck et al., "Computing Riemann
-  theta functions", Math. Comp. 73 (2004)); the same sum on a whole
-  displacement grid, for the critical-point census, takes one pass.
+  theta functions", Math. Comp. 73 (2004)); for the critical-point census, one
+  certified table of its terms at ``s = 1`` serves every displacement and grid.
 
 Every series is truncated only once a bound certifies the discarded tail
 below the requested tolerance; ``tail_bound`` exposes the bounds themselves,
@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from operator import getitem, mul
+from operator import mul
 from typing import Any
 
 __all__ = [
@@ -124,14 +124,14 @@ DEFAULT_TRUNCATION = SeriesTruncation()
 def _cached(public):
     """The one cache rule: cache a helper on its positional arguments plus the
     precision of any backend among them (``mpmath.mp`` is one object at every
-    precision), and give ``public`` the cache's ``cache_info``/``cache_clear``."""
+    precision; ``math`` by identity, as a failed lookup on a module costs more than
+    the hit), and give ``public`` the cache's ``cache_info``/``cache_clear``."""
 
     def decorate(helper):
         cached = functools.lru_cache(maxsize=16)(lambda precs, *args: helper(*args))
         public.cache_info, public.cache_clear = cached.cache_info, cached.cache_clear
-        return functools.wraps(helper)(
-            lambda *args: cached(tuple(getattr(a, "prec", None) for a in args), *args)
-        )
+        key = lambda args: tuple([None if a is math else getattr(a, "prec", None) for a in args])
+        return functools.wraps(helper)(lambda *args: cached(key(args), *args))
 
     return decorate
 
@@ -343,6 +343,18 @@ def _lattice_tail(r2: float, s: float, x: float, y: float, order: int, L: tuple)
     return math.sqrt(y / s) * growth * weight * 2.0 * t(beta) * rows * math.exp(-r2)
 
 
+def _least_r2(tail, r2: float, r2_cap: float, trunc: SeriesTruncation, what) -> float:
+    """The least ``r2`` from ``min(r2, r2_cap)`` up with ``tail(r2) <= trunc.tail_tol``, or
+    TruncationError with the bound at ``r2_cap``, the largest ellipse in the index box."""
+    r2, tol = min(r2, r2_cap), float(trunc.tail_tol)
+    while (bound := tail(r2)) > tol:
+        if r2 >= r2_cap:
+            msg = f"{what()}: tail bound {bound:.3e} > tol {tol:.3e} at max_index={trunc.max_index}"
+            raise TruncationError(msg, achieved_bound=bound)
+        r2 = min(r2 + math.log(bound / tol) + 0.5, r2_cap)
+    return r2
+
+
 def _reduced_ellipse(s: float, z: HalfPlanePoint, order: int, trunc: SeriesTruncation, ctx: Any):
     """``z'``, ``L`` of :func:`_reduce_point` and the least ``r2`` (the ellipse
     ``Q <= r2`` of :func:`_lattice_tail`) whose bound on an ``order`` partial is
@@ -353,17 +365,10 @@ def _reduced_ellipse(s: float, z: HalfPlanePoint, order: int, trunc: SeriesTrunc
     xr, yr, L = _reduce_point(z, ctx)
     sf, xf, yf = float(s), float(xr), float(yr)
     r2_cap = trunc.max_index**2 * min(sf * math.pi * yf, math.pi * yf / sf)
-    tol = float(trunc.tail_tol)
     # the start covers the bound's polynomial prefactor at most points
-    r2 = min(4.0 + 4.5 * order - math.log(tol), r2_cap)
-    while (bound := _lattice_tail(r2, sf, xf, yf, order, L)) > tol:
-        if r2 >= r2_cap:
-            raise TruncationError(
-                f"lattice sum (s={s}, z=({z.x}, {z.y})): tail bound {bound:.3e} > tol "
-                f"{tol:.3e} at max_index={trunc.max_index}",
-                achieved_bound=bound,
-            )
-        r2 = min(r2 + math.log(bound / tol) + 0.5, r2_cap)
+    start = 4.0 + 4.5 * order - math.log(float(trunc.tail_tol))
+    tail = lambda r2: _lattice_tail(r2, sf, xf, yf, order, L)
+    r2 = _least_r2(tail, start, r2_cap, trunc, lambda: f"lattice sum (s={s}, z=({z.x}, {z.y}))")
     return xr, yr, L, r2
 
 
@@ -452,52 +457,68 @@ def _lattice_sum(
     return _chain([ctx.sqrt(yr / s) * v for v in sums], L, order)
 
 
-def _lattice_grid(
-    s: float, z: HalfPlanePoint, n: int, order: int, trunc: SeriesTruncation
-) -> tuple:
-    """:func:`_lattice_sum` in binary64 at every ``(a, b) = (i/n, j/n)``, as
-    ``grid[q][i][j]`` for the partial of ``b``-order ``q``, in one pass.
+def _table_tail(r2: float, x: float, y: float, L: tuple) -> float:
+    """Bound on any partial of order <= 2 of what :func:`_torus_table` drops at the reduced
+    point, keeping ``Q = pi y m^2 + pi d^2/y <= r2`` (``d = m x + n``): the Gaussians of
+    :func:`_lattice_tail` at ``s = y``, height 1, whose weight at ``x = |z|`` covers the
+    frequencies (``max(|m|, |n|) <= |z| sqrt(Q/(pi y))``) and whose order 2 covers 0 and 1."""
+    return math.sqrt(y) * _lattice_tail(r2, y, math.hypot(x, y), 1.0, 2, L)
 
-    ``L`` is unimodular, so it permutes the grid ``(Z/n)^2``: the sum is taken
-    at ``z'`` on the grid ``(a', b') = (i'/n, j'/n)`` and gathered back.  The
-    ellipse is cut once, by the bound the pointwise sum uses.  Column ``b'``
-    fixes the ``d``'s, so each row's ``sum g d^p cos(psi)`` and ``sum g d^p
-    sin(psi)``, ``psi = 2 pi m x d``, are summed once per column; the
-    angle-addition formula with ``theta = 2 pi m a'`` turns them into the row's
-    moments at every ``a'``.  The chain rule is linear, so it is applied to the
-    rows' coefficients.
-    """
-    xr, yr, L, r2 = _reduced_ellipse(s, z, order, trunc, math)
-    h, scale = 2 * math.pi * yr / s, math.sqrt(yr / s)
-    columns = []  # [j'][q]: the coefficients of cos(theta) and sin(theta), by row
-    for jr in range(n):
-        ds, gd, rows = _lattice_column(jr / n, r2, s, yr, order, math)
-        coefs = [[] for _ in range(order + 1)]
-        for m, (weight, lo, hi) in enumerate(rows):
-            U, V = 2 * math.pi * m, 2 * math.pi * m * xr
-            psis = [V * d for d in ds[lo:hi]]
-            cs, ss = list(map(math.cos, psis)), list(map(math.sin, psis))
-            C = [sum(map(mul, g[lo:hi], cs)) for g in gd]
-            S = [sum(map(mul, g[lo:hi], ss)) for g in gd]
-            # cos(theta - psi) = cos cos + sin sin, sin(theta - psi) = sin cos - cos sin
-            on_cos = _row_partials(order, U, V, h, getitem, C, [-v for v in S])
-            on_sin = _row_partials(order, U, V, h, getitem, S, C)
-            w = scale * weight
-            for coef, cq, sq in zip(coefs, _chain(on_cos, L, order), _chain(on_sin, L, order)):
-                coef += (w * cq, w * sq)
-        columns.append(coefs)
-    # trig[i'] = cos and sin of theta = 2 pi m i'/n, by row as in the coefficients
-    trig = [
-        [f(2 * math.pi * (m * i % n) / n) for m in range(len(rows)) for f in (math.cos, math.sin)]
-        for i in range(n)
-    ]
-    # reduced[q][j'][i']
-    reduced = [[[sum(map(mul, c[q], t)) for t in trig] for c in columns] for q in range(order + 1)]
+
+def _torus_table(z: HalfPlanePoint, trunc: SeriesTruncation) -> tuple:
+    """``F(1; z; a, b)`` of :func:`_lattice_sum` as ``sum w cos(ka a + kb b)`` (binary64):
+    ``L`` and, row ``m >= 0`` by row, a term ``(m, n, w, ka, kb)`` for one of each pair
+    ``+-(m, n)`` with ``Q = pi |m z' + n|^2 / y' <= r2`` at the reduced point: ``w = 2
+    e^{-Q}`` (1 at the origin), ``(ka, kb) = 2 pi (l0 m + l2 n, l1 m + l3 n)``.  ``r2`` is the
+    least :func:`_table_tail` certifies; TruncationError if it leaves ``|m|, |n| <= max_index``."""
+    xr, yr, L = _reduce_point(z, math)
+    alpha, beta = math.pi * yr, math.pi / yr
+    r2_cap = trunc.max_index**2 * math.pi / max(1.0 / yr, yr + xr * xr / yr)
+    tail, start = lambda r2: _table_tail(r2, xr, yr, L), 13.0 - math.log(float(trunc.tail_tol))
+    r2 = _least_r2(tail, start, r2_cap, trunc, lambda: f"torus table (z=({z.x}, {z.y}))")
     l0, l1, l2, l3 = L
-    return tuple(
-        [[red[(l2 * i + l3 * j) % n][(l0 * i + l1 * j) % n] for j in range(n)] for i in range(n)]
-        for red in reduced
-    )
+    terms = []
+    for m in range(int(math.sqrt(r2 / alpha)) + 1):
+        reach = math.sqrt((r2 - alpha * m * m) / beta)
+        for n in range(0 if m == 0 else math.ceil(-reach - m * xr), math.floor(reach - m * xr) + 1):
+            w = (2 if m or n else 1) * math.exp(-alpha * m * m - beta * (m * xr + n) ** 2)
+            terms.append((m, n, w, math.tau * (l0 * m + l2 * n), math.tau * (l1 * m + l3 * n)))
+    return L, terms
+
+
+def _table_partials(table: tuple, a: float, b: float) -> tuple:
+    """``F_a, F_b, F_aa, F_ab, F_bb`` of a :func:`_torus_table` at ``(a, b)``, in one pass."""
+    (l0, l1, l2, l3), terms = table
+    # the phases are formed in the reduced displacement, mod 1
+    ar, br = math.tau * ((l0 * a + l1 * b) % 1.0), math.tau * ((l2 * a + l3 * b) % 1.0)
+    fa = fb = faa = fab = fbb = 0.0
+    for m, n, w, ka, kb in terms:
+        phi = m * ar + n * br
+        s, c = w * math.sin(phi), w * math.cos(phi)
+        fa, fb = fa - ka * s, fb - kb * s
+        faa, fab, fbb = faa - ka * ka * c, fab - ka * kb * c, fbb - kb * kb * c
+    return fa, fb, faa, fab, fbb
+
+
+def _table_grid(table: tuple, n: int) -> tuple:
+    """``(F_a, F_b)`` of a :func:`_torus_table` at every ``(a, b) = (i/n, j/n)``, as
+    ``grid[q][i][j]``: taken at ``(i', j') = L (i, j)``, whose phase ``theta + psi``
+    (``theta = 2 pi m i'/n``, ``psi = 2 pi n' j'/n``) separates, and gathered back."""
+    (l0, l1, l2, l3), terms = table
+    roots = [complex(math.cos(t), math.sin(t)) for t in (math.tau * k / n for k in range(n))]
+    rows = terms[-1][0] + 1
+    thetas = [[roots[m * i % n] for m in range(rows)] for i in range(n)]  # [i'][m]
+    grids = []
+    for q in (3, 4):  # F_a from ka, F_b from kb
+        cols = [[0j] * rows for _ in range(n)]  # [j'][m]: the row's sum of -w k e^{i psi}
+        for term in terms:
+            m, nr, k = term[0], term[1], -term[2] * term[q]
+            for j, col in enumerate(cols):
+                col[m] += k * roots[nr * j % n]
+        red = [[sum(map(mul, col, t)).imag for t in thetas] for col in cols]  # [j'][i']
+        grids.append([[red[(l2 * i + l3 * j) % n][(l0 * i + l1 * j) % n] for j in range(n)]
+                      for i in range(n)])
+    return tuple(grids)
 
 
 def theta2d(

@@ -16,8 +16,8 @@ middle band, rectangular up to ``alpha = 1``.  The band edges are
     alpha1 = 1/(1 + 2 sigma_1b),   alpha2 = 1/(1 + 2 sigma_1a).
 
 ``critical_census`` enumerates the critical points of ``J(z; ., .)`` on the
-displacement torus (a gradient grid from one kernel pass, sign localization
-and damped Newton); the four universal points (0,0), (1/2,0), (0,1/2),
+displacement torus (one torus table per call: its gradient grid, sign
+localization and damped Newton); the four universal points (0,0), (1/2,0), (0,1/2),
 (1/2,1/2) are critical for every ``z``, and the census reports torus
 representatives — mirror pairs under
 ``(a, b) -> (1-a, 1-b)`` are listed individually, so the expected counts are
@@ -38,8 +38,10 @@ from .kernels import (
     SeriesTruncation,
     _cached,
     _jacobi_jet,
-    _lattice_grid,
     _lattice_sum,
+    _table_grid,
+    _table_partials,
+    _torus_table,
     theta2d,
 )
 
@@ -114,16 +116,6 @@ def _j_partials(z: HalfPlanePoint, a: float, b: float, order: int, trunc: Series
     (a, -b) (substitute n -> -n), so the odd ``b``-partials change sign."""
     partials = _lattice_sum(1, z, a, -b, order, trunc, math)
     return tuple(p if q % 2 == 0 else -p for q, p in enumerate(partials))
-
-
-def _j_gradient_grid(z: HalfPlanePoint, n: int, trunc: SeriesTruncation):
-    """``(J_a, J_b)`` of :func:`_j_partials` at every ``(a, b) = (i/n, j/n)``, as
-    ``[i][j]`` lists, from one kernel grid at displacement ``(a, -b)``."""
-    fa, fb = _lattice_grid(1, z, n, 1, trunc)
-    # column j of J is column -j mod n of F
-    ga = [row[:1] + row[:0:-1] for row in fa]
-    gb = [[-v for v in row[:1] + row[:0:-1]] for row in fb]
-    return ga, gb
 
 
 def hessian_universal(
@@ -347,30 +339,25 @@ class CriticalPointReport:
         return None
 
 
-def _newton(z, a, b, refine_tol, trunc):
+def _newton(table, a, b, refine_tol):
     """Damped Newton for the displacement gradient; returns (a, b, res, ok)."""
-    ga, gb = _j_partials(z, a, b, 1, trunc)
+    ga, gb, haa, hab, hbb = _table_partials(table, a, b)
     res = math.hypot(ga, gb)
     for _ in range(50):
-        if res <= refine_tol:
-            return a, b, res, True
-        haa, hab, hbb = _j_partials(z, a, b, 2, trunc)
         det = haa * hbb - hab * hab
-        if det == 0.0:
-            return a, b, res, False
+        if res <= refine_tol or det == 0.0:
+            return a, b, res, res <= refine_tol
         sa = (hbb * ga - hab * gb) / det
         sb = (haa * gb - hab * ga) / det
-        step = 1.0
-        for _ in range(8):
+        for step in (0.5**k for k in range(8)):
             na, nb = a - step * sa, b - step * sb
-            nga, ngb = _j_partials(z, na, nb, 1, trunc)
-            nres = math.hypot(nga, ngb)
+            partials = _table_partials(table, na, nb)
+            nres = math.hypot(*partials[:2])
             if nres < res:
                 break
-            step *= 0.5
         else:
             return a, b, res, res <= refine_tol
-        a, b, ga, gb, res = na % 1.0, nb % 1.0, nga, ngb, nres
+        a, b, res, (ga, gb, haa, hab, hbb) = na % 1.0, nb % 1.0, nres, partials
     return a, b, res, res <= refine_tol
 
 
@@ -382,18 +369,21 @@ def critical_census(
 ) -> CriticalPointReport:
     """All critical points of (a, b) -> J(z; a, b) on the unit torus.
 
-    Grid sign-localization of the gradient followed by damped Newton; the
-    four universal points are seeded unconditionally.  Classification is by
-    the sign of the Hessian determinant (and of J_aa when it is positive);
-    a Newton run that stalls above ``refine_tol`` is reported as
-    "degenerate" with its achieved residual.  Points are torus
-    representatives sorted lexicographically; mirror pairs under
-    (a, b) -> (1-a, 1-b) both appear.
+    Grid sign-localization of the gradient and damped Newton, on one torus
+    table of the kernel sum F (J(a, b) = F(a, -b): points are mirrored in b;
+    TruncationError where it leaves ``trunc.max_index``); the four universal
+    points are seeded unconditionally.  Classification is by the sign of the
+    Hessian determinant (and of J_aa when it is positive); a Newton run that
+    stalls above ``refine_tol`` (0 < refine_tol < inf) is reported as
+    "degenerate" with its achieved residual.  Points within 1e-6 are one; they
+    are sorted torus representatives, mirror pairs under (a, b) -> (1-a, 1-b) both.
     """
     if grid_n < 32:
         raise DomainError(f"census grid must have at least 32 points, got {grid_n}")
-    h = 1.0 / grid_n
-    ga, gb = _j_gradient_grid(z, grid_n, trunc)
+    if not 0 < refine_tol < math.inf:
+        raise DomainError(f"refine_tol must be positive and finite, got {refine_tol}")
+    table = _torus_table(z, trunc)
+    ga, gb = _table_grid(table, grid_n)
 
     seeds = [(d.a, d.b) for d in UNIVERSAL_POINTS.values()]
     for i in range(grid_n):
@@ -403,27 +393,15 @@ def critical_census(
             ca = (ga[i][j], ga[i1][j], ga[i][j1], ga[i1][j1])
             cb = (gb[i][j], gb[i1][j], gb[i][j1], gb[i1][j1])
             if min(ca) < 0 < max(ca) and min(cb) < 0 < max(cb):
-                seeds.append(((i + 0.5) * h, (j + 0.5) * h))
-
-    found = []
-    for a0, b0 in seeds:
-        a, b, res, ok = _newton(z, a0, b0, refine_tol, trunc)
-        a, b = a % 1.0, b % 1.0
-        if not ok and res > 1e-5:
-            continue  # the cell's sign change was spurious (no nearby zero)
-        duplicate = False
-        for p in found:
-            da = min(abs(p[0] - a), 1 - abs(p[0] - a))
-            db = min(abs(p[1] - b), 1 - abs(p[1] - b))
-            if math.hypot(da, db) <= 2.0 * h:
-                duplicate = True
-                break
-        if not duplicate:
-            found.append((a, b, res, ok))
+                seeds.append(((i + 0.5) / grid_n, (j + 0.5) / grid_n))
 
     points = []
-    for a, b, res, ok in sorted(found):
-        haa, hab, hbb = _j_partials(z, a, b, 2, trunc)
+    for a0, b0 in seeds:
+        a, b, res, ok = _newton(table, a0, b0, refine_tol)
+        spurious = not ok and res > 1e-5  # the cell's sign change had no nearby zero
+        if spurious or CriticalPointReport(tuple(points), len(points)).find(a, -b):
+            continue
+        _, _, haa, hab, hbb = _table_partials(table, a, b)
         det = haa * hbb - hab * hab
         if not ok or abs(det) <= 1e-10:
             kind = "degenerate"
@@ -431,5 +409,6 @@ def critical_census(
             kind = "saddle"
         else:
             kind = "max" if haa < 0 else "min"
-        points.append(CriticalPoint(Displacement(a, b), kind, res))
+        points.append(CriticalPoint(Displacement(a, -b), kind, res))
+    points.sort(key=lambda p: (p.d.a, p.d.b))
     return CriticalPointReport(points=tuple(points), count=len(points))

@@ -162,6 +162,13 @@ class TestEval:
         monkeypatch.setattr(sys, "argv", ["latticetheta", "eval", "theta", "--z", "-0.3+0.7i"])
         assert main() == 0 and capsys.readouterr().out == joined[1]
 
+    @pytest.mark.parametrize("argv", [("phase", "-1:1:5"), ("trajectory", "W1", "-0:1:3")])
+    def test_negative_sweep_needs_no_equals_sign(self, capsys, argv):
+        *command, sweep = argv
+        joined = run(capsys, *command, "--sweep=" + sweep)
+        assert joined[0] == 0 and len(rows_of(joined[1])) == int(sweep.split(":")[2])
+        assert run(capsys, *command, "--sweep", sweep) == joined
+
     def test_warm_extended_corner_reaches_no_lattice_kernel(self, capsys, monkeypatch):
         from latticetheta import kernels
 

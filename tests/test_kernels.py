@@ -319,20 +319,17 @@ def test_lattice_kernel_raises_when_max_index_cannot_certify():
     assert exc.value.achieved_bound == tail_bound("lattice", 1, x=0.3, y=1.4, order=2)
 
 
-@pytest.mark.parametrize(
-    "s,x,y,n", [(1.0, 0.5, 0.9, 32), (2.0, -1.3, 0.4, 33), (0.5, 3.7, 0.05, 35)]
-)
-def test_lattice_grid_matches_30_digit_sums(s, x, y, n):
+@pytest.mark.parametrize("x,y,n", [(0.5, 0.9, 32), (-1.3, 0.4, 33), (3.7, 0.05, 35)])
+def test_table_grid_matches_30_digit_sums(x, y, n):
     # the pointwise sum forms L (a, b) from rounded a and b, so far from the
     # fundamental domain the grid is checked against the kernel at 30 digits
     z, fine = HalfPlanePoint(x, y), SeriesTruncation(max_index=200, tail_tol=1e-30)
-    for order in (0, 1, 2):
-        grid = kernels._lattice_grid(s, z, n, order, DEFAULT_TRUNCATION)
-        for i, j in [(0, 0), (1, n - 1), (n // 2, 3), (n - 5, n // 3), (7, 11), (n - 1, n - 2)]:
-            with mp.workdps(30):
-                want = kernels._lattice_sum(s, z, mp.mpf(i) / n, mp.mpf(j) / n, order, fine, mp.mp)
-            for q, w in enumerate(want):
-                assert abs(grid[q][i][j] - w) <= 1e-12 * (1 + abs(w)), (order, q, i, j)
+    grid = kernels._table_grid(kernels._torus_table(z, DEFAULT_TRUNCATION), n)
+    for i, j in [(0, 0), (1, n - 1), (n // 2, 3), (n - 5, n // 3), (7, 11), (n - 1, n - 2)]:
+        with mp.workdps(30):
+            want = kernels._lattice_sum(1, z, mp.mpf(i) / n, mp.mpf(j) / n, 1, fine, mp.mp)
+        for q, w in enumerate(want):
+            assert abs(grid[q][i][j] - w) <= 1e-12 * (1 + abs(w)), (q, i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +420,37 @@ def test_lattice_tail_bound_dominates_actual_error():
                     true_tail = lattice_discarded(N, s, x, y, b, order)
                     bound = tail_bound("lattice", N, s=s, x=x, y=y, order=order)
                     assert float(true_tail) <= bound
+
+
+def table_discarded(z, r2, order):
+    """Largest discarded tail, over the partials of ``order`` in (a, b), of the
+    torus table at ``z`` once it keeps ``pi |m z' + n|^2 / y' <= r2`` at the
+    reduced point, summed term by term in absolute value."""
+    xr, yr, (l0, l1, l2, l3) = kernels._reduce_point(z, mp.mp)
+    alpha, beta = mp.pi * yr, mp.pi / yr
+    rows, spread = int(mp.sqrt(150 / alpha)) + 1, int(mp.sqrt(150 / beta)) + 2
+    tails = [mp.mpf(0)] * (order + 1)
+    for m in range(-rows, rows + 1):
+        for n in range(int(-m * xr) - spread, int(-m * xr) + spread + 1):
+            q = alpha * m * m + beta * (m * xr + n) ** 2
+            if q > r2:  # the frequencies in (a, b): L's transpose applied to (m, n)
+                ka, kb = 2 * mp.pi * abs(l0 * m + l2 * n), 2 * mp.pi * abs(l1 * m + l3 * n)
+                for p in range(order + 1):
+                    tails[p] += ka ** (order - p) * kb**p * mp.exp(-q)
+    return max(tails)
+
+
+def test_table_tail_bound_dominates_actual_error():
+    # 3.7+0.05i reduces through L = (4, -15, 3, -11): without L's growth the
+    # bound falls below the true tail of the second partials
+    with mp.workdps(40):
+        for x, y in [(3.7, 0.05), (0.5, math.sqrt(3) / 2), (-1.3, 0.4), (0.2, 7.0)]:
+            z = HalfPlanePoint(x, y)
+            xr, yr, L = kernels._reduce_point(z, math)
+            for r2 in (4.0, 10.0, 25.0, 45.0):
+                bound = kernels._table_tail(r2, xr, yr, L)
+                for order in (0, 1, 2):
+                    assert float(table_discarded(z, r2, order)) <= bound, (x, y, r2, order)
 
 
 def test_tail_bound_rejects_bad_input():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticetheta import functionals, phase_diagram
+from latticetheta import functionals, kernels, phase_diagram
 from latticetheta.halfplane import IDENTITY, INVERSION, REFLECTION, TRANSLATION, apply, compose
 from latticetheta.kernels import (
     DomainError,
@@ -337,8 +337,6 @@ class TestOptimalLattice:
         assert phase_row(0.4) == optimal_lattice(0.4)
 
     def test_warm_hexagonal_rows_make_no_kernel_call(self, monkeypatch):
-        from latticetheta import kernels
-
         phase_row.cache_clear()
         alphas = (-1.0, -0.37, -0.0, 0.0)
         expected = [energy(a, HEXAGONAL_POINT, Displacement(0.0, 0.0)) for a in alphas]
@@ -460,22 +458,61 @@ class TestCriticalCensus:
     def test_gradient_grid_matches_pointwise_partials(self, x, y, n):
         # the census grid is reduced once and gathered back through L; every
         # grid point must agree with its own pointwise kernel pass
-        z = HalfPlanePoint(x, y)
-        ga, gb = phase_diagram._j_gradient_grid(z, n, SeriesTruncation())
+        z, trunc = HalfPlanePoint(x, y), SeriesTruncation()
+        ga, gb = kernels._table_grid(kernels._torus_table(z, trunc), n)
         for i in range(n):
             for j in range(n):
-                pa, pb = phase_diagram._j_partials(z, i / n, j / n, 1, SeriesTruncation())
+                pa, pb = kernels._lattice_sum(1, z, i / n, j / n, 1, trunc, math)
                 assert abs(ga[i][j] - pa) <= 1e-13 * (1 + abs(pa)), (i, j)
                 assert abs(gb[i][j] - pb) <= 1e-13 * (1 + abs(pb)), (i, j)
 
+    @pytest.mark.parametrize(
+        "x,y", [(0.5, math.sqrt(3) / 2), (3.7, 0.05), (-1.3, 0.4), (0.2, 7.0)]
+    )
+    def test_table_partials_match_pointwise_partials(self, x, y):
+        # J(a, b) is the table's sum at (a, -b): odd b-partials change sign
+        z, trunc = HalfPlanePoint(x, y), SeriesTruncation()
+        table = kernels._torus_table(z, trunc)
+        for a, b in [(0.1, 0.2), (0.37, 0.81), (0.5, 0.5), (0.9, 0.05), (0.25, 0.75), (0, 0)]:
+            fa, fb, faa, fab, fbb = kernels._table_partials(table, a, -b)
+            got = (fa, -fb, faa, -fab, fbb)
+            want = phase_diagram._j_partials(z, a, b, 1, trunc)
+            want += phase_diagram._j_partials(z, a, b, 2, trunc)
+            for g, p in zip(got, want):
+                assert abs(g - p) <= 1e-13 * (1 + abs(p)), (a, b)
+
     @pytest.mark.parametrize("x,y", [(0.3, 1.4), (3.7, 0.05)])
     def test_census_raises_with_the_pointwise_bound(self, x, y):
+        # the census is cut by its table's own bound: at max_index 2 it raises
+        # with that bound at the largest ellipse in the index box
         z, tight = HalfPlanePoint(x, y), SeriesTruncation(max_index=2)
         with pytest.raises(TruncationError) as census:
             critical_census(z, grid_n=32, trunc=tight)
-        with pytest.raises(TruncationError) as point:
-            phase_diagram._j_partials(z, 0.25, 0.5, 1, tight)
-        assert 1e-13 < census.value.achieved_bound == point.value.achieved_bound < math.inf
+        xr, yr, L = kernels._reduce_point(z, math)
+        cap = 2**2 * math.pi / max(1 / yr, yr + xr * xr / yr)
+        table_bound = kernels._table_tail(cap, xr, yr, L)
+        assert 1e-13 < census.value.achieved_bound == table_bound < math.inf
+
+    def test_census_makes_no_lattice_sum_call(self, monkeypatch):
+        calls = []
+        original = kernels._lattice_sum
+        counted = lambda *args: calls.append(args) or original(*args)
+        monkeypatch.setattr(kernels, "_lattice_sum", counted)
+        monkeypatch.setattr(phase_diagram, "_lattice_sum", counted)
+        assert critical_census(HEXAGONAL_POINT, grid_n=32).count == 6
+        assert calls == []
+
+    def test_minima_near_half_half_are_not_merged(self):
+        # the two minima lie 0.0326 from (1/2, 1/2), closer than two mesh widths
+        z = HalfPlanePoint(0.4431, 1.0442)
+        for grid_n in (32, 64):
+            kinds = [p.kind for p in critical_census(z, grid_n=grid_n).points]
+            assert len(kinds) == 6 and kinds.count("min") == 2, grid_n
+
+    @pytest.mark.parametrize("refine_tol", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_refine_tol(self, refine_tol):
+        with pytest.raises(DomainError):
+            critical_census(SQUARE, grid_n=32, refine_tol=refine_tol)
 
     def test_report_count_guard(self):
         with pytest.raises(DomainError):
