@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import List, NamedTuple, Tuple
 
 import numpy as np
@@ -229,12 +230,36 @@ def bound_kit(X: float, x: float, y: float) -> BoundKit:
 # brute-force minimization oracle
 
 
+_GRID_TOL, _GRID_MAX_INDEX = 1e-16, 100
+
+
+def _gauss_cut(c: float, scale: float, offset: float) -> int:
+    """Least k with scale * sum_{i >= 0} e^{-pi c (a + i)^2} <= _GRID_TOL / 2, a = k + offset,
+    the sum bounded by e^{-pi c a^2} / (1 - e^{-2 pi c a}) as (a + i)^2 >= a^2 + 2ai."""
+    for k in range(_GRID_MAX_INDEX + 1):
+        a = k + offset
+        bound = scale * math.exp(-math.pi * c * a * a) / -math.expm1(-2 * math.pi * c * a)
+        if bound <= _GRID_TOL / 2:
+            return k
+    raise TruncationError(f"theta grid tail not certified in {_GRID_MAX_INDEX} terms", bound)
+
+
 def _theta_grid(s: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """theta(s; x+iy) as a plain double sum, vectorized over the grid."""
-    total = np.zeros(np.broadcast(xs, ys).shape)
-    for m in range(-10, 11):
-        for n in range(-14, 15):
-            total += np.exp(-s * math.pi * ((m * xs + n) ** 2 / ys + m * m * ys))
+    """theta(s; x+iy) on a grid to 1e-16: rows 0 <= m <= M (doubled for m > 0, as
+    (m, n) ~ (-m, -n)) of e^{-s pi m^2 y} times e^{-s pi d^2/y} over each point's own
+    window d = mx - rint(mx) + j, |j| <= J.  Row sums are at most 1 + sqrt(y/s) and
+    column sums 1 + 1/sqrt(s y), so over the grid's [y_lo, y_hi] M and J leave at most
+    _GRID_TOL / 2 each (:func:`_gauss_cut`); theta >= 1 makes that relative too."""
+    y_lo, y_hi = float(np.min(ys)), float(np.max(ys))
+    if not (y_lo > 0 and math.isfinite(y_hi)):
+        raise DomainError(f"theta grid needs 0 < y < inf, got y in [{y_lo}, {y_hi}]")
+    rows = _gauss_cut(s * y_lo, 2 * (1 + math.sqrt(y_hi / s)), 1.0)
+    half = _gauss_cut(s / y_hi, 2 * (1 + 1 / math.sqrt(s * y_lo)), 0.5)
+    total, rate = 0.0, -s * math.pi / ys
+    for m in range(rows, -1, -1):
+        f = m * xs - np.rint(m * xs)
+        row = sum(np.exp(rate * (f + j) ** 2) for j in range(-half, half + 1))
+        total += (2 if m else 1) * np.exp(-s * math.pi * m * m * ys) * row
     return total
 
 
@@ -280,7 +305,8 @@ def _brute_grids(kind: FunctionalKind, grid_n: int) -> _BruteGrids:
 def _grid_descent(
     kind: FunctionalKind, rho: float, grids: _BruteGrids, trunc: SeriesTruncation
 ) -> Tuple[HalfPlanePoint, float]:
-    """Seed at the grid argmin of shifted + rho * plain, then descend."""
+    """Seed at the grid argmin of shifted + rho * plain, then descend to a step of
+    1e-9, keeping this descent's values (each move's opposite probe is the last point)."""
     flat = int(np.argmin(grids.shifted + rho * grids.plain))
     x, y = float(grids.xgrid.flat[flat]), float(grids.ygrid.flat[flat])
 
@@ -289,12 +315,13 @@ def _grid_descent(
         lo = max(math.sqrt(max(1.0 - px * px, 0.0)), _Y_CLIP)
         return px, min(max(py, lo), _Y_CEIL)
 
+    @cache
     def value_at(px: float, py: float) -> float:
         return w_eval(kind, rho, HalfPlanePoint(px, py), trunc)
 
     best = value_at(x, y)
     step = grids.step
-    while step > 1e-12:
+    while step > 1e-9:
         moved = False
         for dx, dy in ((step, 0), (-step, 0), (0, step), (0, -step)):
             px, py = project(x + dx, y + dy)
@@ -316,10 +343,11 @@ def brute_minimize(
 
     The mesh covers x in [0, 1], y from the unit circle (clipped below at
     0.25) up to 3.5; the best node seeds a coordinate descent with halving
-    steps, projected back into the region, using the certified scalar
-    evaluator.  The two theta grids do not depend on rho (W = shifted +
-    rho * plain); a single call builds them for its one weight, while the
-    oracle suite builds them once per kind and reuses them for every weight.
+    steps down to 1e-9, projected back into the region, using the certified
+    scalar evaluator once per point.  The theta grids (a stated 1e-16 tail
+    bound, each point summing its own window) do not depend on rho (W =
+    shifted + rho * plain); a single call builds them for its one weight,
+    while the oracle suite builds them once per kind for every weight.
     """
     return _grid_descent(kind, rho, _brute_grids(kind, grid_n), trunc)
 
@@ -336,23 +364,18 @@ class ScanViolation(NamedTuple):
     derivative: float
 
 
+# x-interval (lo, width) per region; the floor is |z| = 1, or |z - 1/2| = 1/2 for Omega_C1
+_REGIONS = {"D_G2": (0.0, 1.0), "Omega_C1": (0.0, 0.5), "R_L": (0.5, 0.5), "R2": (0.0, 0.5)}
+
+
 def _region_grid(region: str, grid_n: int):
-    """(x, y, expected-sign-free) grids for the named region's interior."""
-    u = (np.arange(grid_n) + 0.5) / grid_n
-    if region == "D_G2":
-        xs = u[None, :] * 1.0
-        floor = np.sqrt(np.clip(1.0 - xs * xs, 0.0, None))
-    elif region == "Omega_C1":
-        xs = u[None, :] * 0.5
-        floor = np.sqrt(np.clip(xs - xs * xs, 0.0, None))
-    elif region == "R_L":
-        xs = 0.5 + u[None, :] * 0.5
-        floor = np.sqrt(np.clip(1.0 - xs * xs, 0.0, None))
-    elif region == "R2":
-        xs = u[None, :] * 0.5
-        floor = np.sqrt(np.clip(1.0 - xs * xs, 0.0, None))
-    else:
+    """(x, y) grids for the named region's interior."""
+    if region not in _REGIONS:
         raise DomainError(f"unknown region {region!r}")
+    lo, width = _REGIONS[region]
+    u = (np.arange(grid_n) + 0.5) / grid_n
+    xs = lo + u[None, :] * width
+    floor = np.sqrt(np.clip((xs if region == "Omega_C1" else 1.0) - xs * xs, 0.0, None))
     # offset keeps the scan strictly above the boundary curve
     ys = floor + (_SCAN_CUTOFF_Y - floor) * u[:, None] + 1e-6
     return np.broadcast_to(xs, ys.shape), ys
@@ -382,16 +405,14 @@ def x_monotonicity_scan(
     xs, ys = _region_grid(region, grid_n)
     h = 1e-5
 
+    expected = -1.0 if (target, region) == ("theta", "Omega_C1") else 1.0
     if target == "theta":
         f = lambda a: _theta_grid(s, a, ys)
-        expected = -1.0 if region == "Omega_C1" else 1.0
     elif target == "theta_shifted":
         f = lambda a: _theta_grid(s, (a + 1) / 2, ys / 2)
-        expected = 1.0
     elif target in ("w1", "w2"):
         kind = FunctionalKind.W1 if target == "w1" else FunctionalKind.W2
         f = lambda a: _w_grid(kind, rho, a, ys)
-        expected = 1.0
     else:
         raise DomainError(f"unknown scan target {target!r}")
 
@@ -674,14 +695,13 @@ def _suite_oracle(trunc: SeriesTruncation, grid_n: int = 400) -> List[CheckRow]:
     call and shared by that kind's six weights; nothing outlives the call.
     """
     rows = []
-    mesh = max(1.0 / grid_n, (_Y_CEIL - _Y_CLIP) / grid_n)
     for kind, rhos in ORACLE_RHOS:
         grids = _brute_grids(kind, grid_n)
         for rho in rhos:
             closed = minimizer(kind, rho, trunc).z
             brute, _ = _grid_descent(kind, rho, grids, trunc)
             dev = max(abs(brute.x - closed.x), abs(brute.y - closed.y))
-            rows.append(_row(f"{kind.value}_rho{rho:g}", 0.0, dev, 2 * mesh))
+            rows.append(_row(f"{kind.value}_rho{rho:g}", 0.0, dev, 2 * grids.step))
     return rows
 
 

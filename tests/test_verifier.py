@@ -175,6 +175,65 @@ class TestBoundKit:
 # brute-force minimization oracle
 
 
+def theta_30_digits(s, x, y, reach=25):
+    """theta(s; x+iy) as a plain double sum at 30 digits, with no package code.
+
+    Rows |m| <= reach and, in each, the n with |mx + n| <= reach + 1/2; for
+    0.06 <= y <= 10 every omitted term is below e^{-120}.
+    """
+    with mpmath.workdps(30):
+        sm, xm, ym = mpmath.mpf(s), mpmath.mpf(x), mpmath.mpf(y)
+        total = mpmath.mpf(0)
+        for m in range(-reach, reach + 1):
+            c = int(round(m * x))
+            for n in range(-c - reach, -c + reach + 1):
+                total += mpmath.exp(-sm * mpmath.pi * ((m * xm + n) ** 2 / ym + m * m * ym))
+        return total
+
+
+def _grid_samples(case):
+    """(s, x, y, grid value) at the points of the grids the oracle and the scans use."""
+    if case.startswith("oracle"):
+        kind = W1 if case == "oracle_W1" else W2
+        s_shift, s_plain = (2, 1) if kind is W1 else (1, 2)
+        grids = verifier._brute_grids(kind, 400)
+        samples = []
+        for i, j in ((0, 0), (0, -1), (-1, 0), (-1, -1)):  # the mesh corners
+            x, y = float(grids.xgrid[i, j]), float(grids.ygrid[i, j])
+            samples.append((s_shift, (x + 1) / 2, y / 2, grids.shifted[i, j]))
+            samples.append((s_plain, x, y, grids.plain[i, j]))
+        return samples
+    region, row = {"D_G2_top_row": ("D_G2", -1), "Omega_C1_lowest_row": ("Omega_C1", 0)}[case]
+    xs, ys = verifier._region_grid(region, 200)
+    grids = [(1, xs, ys)]
+    if region == "D_G2":
+        # the theta_shifted scan, and the plain thetas of the w1/w2 scans
+        grids = [(1, (xs + 1) / 2, ys / 2), (1, xs, ys), (2, xs, ys)]
+    return [
+        (s, float(gx[row, j]), float(gy[row, j]), verifier._theta_grid(s, gx, gy)[row, j])
+        for s, gx, gy in grids
+        for j in (0, 100, 199)
+    ]
+
+
+class TestThetaGrid:
+    @pytest.mark.parametrize(
+        "case", ["oracle_W1", "oracle_W2", "D_G2_top_row", "Omega_C1_lowest_row"]
+    )
+    def test_theta_grid_matches_30_digit_sums(self, case):
+        # the oracle's mesh reaches y = 0.125 after the shift and 3.5 at the top; the
+        # scans reach y = 10 at the top and y = 0.0603 on Omega_C1's lowest row
+        for s, x, y, value in _grid_samples(case):
+            ref = theta_30_digits(s, x, y)
+            assert abs(value - ref) <= 1e-15 * ref, (s, x, y, float((value - ref) / ref))
+
+    def test_theta_grid_rejects_what_it_cannot_certify(self):
+        with pytest.raises(DomainError):
+            verifier._theta_grid(1, np.zeros(2), np.array([0.0, 1.0]))
+        with pytest.raises(TruncationError):
+            verifier._theta_grid(1, np.zeros(2), np.array([1e-5, 1.0]))
+
+
 class TestBruteMinimize:
     @pytest.mark.parametrize(
         "kind, rho",
@@ -203,6 +262,18 @@ class TestBruteMinimize:
     def test_rejects_coarse_grids(self):
         with pytest.raises(DomainError):
             brute_minimize(W1, 1.0, grid_n=50)
+
+    @pytest.mark.parametrize("kind, rho", [(W1, 0.05), (W1, 0.7), (W2, 10.0)])
+    def test_descent_evaluates_each_point_once(self, kind, rho, monkeypatch):
+        # each move's opposite probe is the point just left, and at the corner
+        # the projection folds probes onto the current point
+        points = []
+        counted = lambda k, r, z, t: points.append((z.x, z.y)) or w_eval(k, r, z, t)
+        monkeypatch.setattr(verifier, "w_eval", counted)
+        grids = verifier._brute_grids(kind, 100)
+        verifier._grid_descent(kind, rho, grids, verifier.DEFAULT_TRUNCATION)
+        assert len(points) > 20
+        assert len(set(points)) == len(points)
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +600,14 @@ class TestSuites:
                 expected.append((f"{kind.value}_rho{rho:g}", 0.0, dev, tol))
         assert [tuple(r[:4]) for r in rows] == expected
         assert all(r.passed for r in rows)
+
+    def test_oracle_suite_stays_within_its_call_budget(self, monkeypatch):
+        # twelve descents that stop at a step of 1e-9 and evaluate each point once
+        calls = []
+        counted = lambda *args: calls.append(args) or w_eval(*args)
+        monkeypatch.setattr(verifier, "w_eval", counted)
+        run_suite("oracle", grid_n=100)
+        assert 0 < len(calls) <= 1000
 
     def test_all_concatenates(self):
         rows = run_suite("all", grid_n=110)
