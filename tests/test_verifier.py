@@ -209,11 +209,11 @@ def _grid_samples(case):
     if region == "D_G2":
         # the theta_shifted scan, and the plain thetas of the w1/w2 scans
         grids = [(1, (xs + 1) / 2, ys / 2), (1, xs, ys), (2, xs, ys)]
-    return [
-        (s, float(gx[row, j]), float(gy[row, j]), verifier._theta_grid(s, gx, gy)[row, j])
-        for s, gx, gy in grids
-        for j in (0, 100, 199)
-    ]
+    samples = []
+    for s, gx, gy in grids:
+        values = verifier._theta_grid(s, gx, gy)
+        samples += [(s, float(gx[row, j]), float(gy[row, j]), values[row, j]) for j in (0, 100, 199)]
+    return samples
 
 
 class TestThetaGrid:
