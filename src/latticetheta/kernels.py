@@ -9,12 +9,14 @@ This module is the numerical foundation of the package.  It evaluates
   orders 0..k of its ``X``-derivatives in one pass,
 * the lattice theta function ``theta2d(s; z)`` for ``z`` in the upper
   half-plane and its midpoint-shifted companion ``theta2d_shifted(s; z)``,
-  through one kernel that also serves J of :mod:`phase_diagram`: reduce ``z``
-  into the fundamental domain, carry the displacement through the word, and
-  sum the Poisson-summed series on an ellipse certified by a closed-form
-  Gaussian bound (the genus-1 case of Deconinck et al., "Computing Riemann
-  theta functions", Math. Comp. 73 (2004)); for the critical-point census, one
-  certified table of its terms at ``s = 1`` serves every displacement and grid.
+  through one kernel for ``J(s; z; a, b) = sum e^{-s pi |m z - n|^2 / y}
+  e^{2 pi i (m a + n b)}``, which is ``theta2d`` at ``a = b = 0`` and J of
+  :mod:`phase_diagram` at ``s = 1``: reduce ``z`` into the fundamental domain,
+  carry the displacement through the word, and sum the Poisson-summed series
+  on an ellipse certified by a closed-form Gaussian bound (the genus-1 case of
+  Deconinck et al., "Computing Riemann theta functions", Math. Comp. 73
+  (2004)); for the critical-point census, one certified table of J's terms
+  serves every displacement and grid.
 
 Every series is truncated only once a bound certifies the discarded tail
 below the requested tolerance; ``tail_bound`` exposes the bounds themselves,
@@ -112,10 +114,10 @@ class SeriesTruncation:
     tail_tol: float = 1e-13
 
     def __post_init__(self) -> None:
-        if self.max_index < 1:
-            raise DomainError("max_index must be a positive integer")
-        if not self.tail_tol > 0:
-            raise DomainError("tail_tol must be positive")
+        if not (isinstance(self.max_index, int) and self.max_index >= 1):
+            raise DomainError(f"max_index must be a positive integer, got {self.max_index!r}")
+        if not 0 < self.tail_tol < math.inf:
+            raise DomainError(f"tail_tol must be positive and finite, got {self.tail_tol!r}")
 
 
 DEFAULT_TRUNCATION = SeriesTruncation()
@@ -297,12 +299,14 @@ def theta1d(
 
 def _reduce_point(z: HalfPlanePoint, ctx: Any):
     """``z'``, ``z`` moved into the closure of D_Gamma, and ``L = (l0, l1; l2, l3)``
-    with ``F(s; z; a, b) = F(s; z'; L (a, b))`` for ``F`` of :func:`_lattice_sum`.
+    with ``J(s; z; a, b) = F(s; z'; L (a, b))`` for ``J`` of :func:`_lattice_sum` and
+    ``F`` the same sum with ``m z + n`` in place of ``m z - n``.
 
     The word is found in binary64 for ``z - k`` (``k`` the integer nearest
     ``x``); ``z'`` is recomputed in the backend from ``x - k`` and ``y``.
-    Renumbering ``(m, n)`` by the word keeps the sum, so ``L = (A, B; C, D)
-    diag(1, sigma) (1, -k; 0, 1)``, ``sigma = -1`` if it reflects (flips b)."""
+    Substituting ``n -> -n`` and renumbering ``(m, n)`` by the word keep the sum,
+    so ``L = (A, B; C, D) diag(1, sigma) (1, k; 0, -1)``, ``sigma = -1`` if it
+    reflects (flips b)."""
     k = math.floor(float(z.x) + 0.5)
     _, word = halfplane.reduce(HalfPlanePoint(float(z.x) - k, float(z.y)), halfplane.GroupId.Gamma)
     A, B, C, D = word.matrix
@@ -315,7 +319,7 @@ def _reduce_point(z: HalfPlanePoint, ctx: Any):
     else:
         u, q = A * x + B, C * x + D
     den = q * q + (C * y) ** 2
-    return (u * q + A * C * y * y) / den, y / den, (A, sigma * B - k * A, C, sigma * D - k * C)
+    return (u * q + A * C * y * y) / den, y / den, (A, k * A - sigma * B, C, k * C - sigma * D)
 
 
 def _lattice_tail(r2: float, s: float, x: float, y: float, order: int, L: tuple) -> float:
@@ -355,31 +359,36 @@ def _least_r2(tail, r2: float, r2_cap: float, trunc: SeriesTruncation, what) -> 
     return r2
 
 
-def _reduced_ellipse(s: float, z: HalfPlanePoint, order: int, trunc: SeriesTruncation, ctx: Any):
-    """``z'``, ``L`` of :func:`_reduce_point` and the least ``r2`` (the ellipse
-    ``Q <= r2`` of :func:`_lattice_tail`) whose bound on an ``order`` partial is
-    at most ``trunc.tail_tol``; the bound does not depend on the displacement.
+def _lattice_sum(
+    s: float, z: HalfPlanePoint, a: float, b: float, order: int, trunc: SeriesTruncation, ctx: Any
+) -> tuple:
+    """The partials of total ``order`` (0..2), by ``b``-order, of
 
-    Raises TruncationError, with the bound achieved, when that ellipse does
-    not fit the index box ``|m|, |d| <= max_index``."""
+        J(s; z; a, b) = sum_{(m,n) in Z^2} e^{-s pi |m z - n|^2 / y} e^{2 pi i (m a + n b)}.
+
+    It is ``F(s; z'; L (a, b))`` of :func:`_reduce_point` (so ``y >= sqrt(3)/2`` bounds
+    the terms), whose ``n``-sum is Poisson-summed on the smallest ellipse
+    :func:`_lattice_tail` certifies, and ``m < 0`` adds the conjugates of ``m > 0``:
+
+        F(s; z; a, b) = sqrt(y/s) sum_{m, d in b + Z} e^{-s pi y m^2 - pi y d^2/s} e^{2 pi i m (a - x d)}
+    """
     xr, yr, L = _reduce_point(z, ctx)
+    l0, l1, l2, l3 = L
+    ar, br = l0 * a + l1 * b, l2 * a + l3 * b
     sf, xf, yf = float(s), float(xr), float(yr)
-    r2_cap = trunc.max_index**2 * min(sf * math.pi * yf, math.pi * yf / sf)
-    # the start covers the bound's polynomial prefactor at most points
+    alpha, beta = sf * math.pi * yf, math.pi * yf / sf
+
+    # the ellipse fits the index box |m|, |d| <= max_index; the start covers
+    # the bound's polynomial prefactor at most points
+    r2_cap = trunc.max_index**2 * min(alpha, beta)
     start = 4.0 + 4.5 * order - math.log(float(trunc.tail_tol))
     tail = lambda r2: _lattice_tail(r2, sf, xf, yf, order, L)
     r2 = _least_r2(tail, start, r2_cap, trunc, lambda: f"lattice sum (s={s}, z=({z.x}, {z.y}))")
-    return xr, yr, L, r2
 
-
-def _lattice_column(br, r2: float, s: float, yr, order: int, ctx: Any):
-    """The column ``d in br + Z`` of the ellipse ``s pi y m^2 + pi y d^2/s <= r2``:
-    its ``d``'s, ``gd[p]`` = the ``g d^p`` for ``p <= order`` (``g = e^{-pi y d^2/s}``),
-    and for each row ``m >= 0`` its ``(weight, lo, hi)``: the factor
-    ``e^{-s pi y m^2}``, doubled for ``m > 0`` (the conjugate row ``-m``), and the
-    slice ``ds[lo:hi]`` the row keeps."""
-    pi, exp = ctx.pi, ctx.exp
-    alpha, beta = float(s) * math.pi * float(yr), math.pi * float(yr) / float(s)
+    # Row m keeps |d| <= sqrt((r2 - alpha m^2) / beta).  A term's partials in
+    # a and b carry i U and -(P + i V) (U = 2 pi m, V = U x, P = h d, h = 2 pi y/s,
+    # d/db P = h): a row needs only sum g d^p cos(phi) and sum g d^p sin(phi).
+    pi, exp, cos, sin = ctx.pi, ctx.exp, ctx.cos, ctx.sin
     t = br - math.floor(float(br) + 0.5)
     reach = math.sqrt(r2 / beta)
     j0 = math.ceil(-reach - float(t))
@@ -387,34 +396,30 @@ def _lattice_column(br, r2: float, s: float, yr, order: int, ctx: Any):
     gd = [[exp(-pi * yr * d * d / s) for d in ds]]
     for _ in range(order):
         gd.append([w * d for w, d in zip(gd[-1], ds)])
-    rows = []
+    h = 2 * pi * yr / s
+    sums = [0] * (order + 1)
     for m in range(int(math.sqrt(r2 / alpha)) + 1):
         reach = math.sqrt((r2 - alpha * m * m) / beta)
         lo, hi = math.ceil(-reach - float(t)) - j0, math.floor(reach - float(t)) - j0 + 1
-        rows.append(((2 if m else 1) * exp(-s * pi * yr * m * m), lo, hi))
-    return ds, gd, rows
+        U, V = 2 * pi * m, 2 * pi * m * xr
+        phis = [U * (ar - xr * d) for d in ds[lo:hi]]
+        cs = list(map(cos, phis))
+        ss = list(map(sin, phis)) if order else None
+        moment = lambda p, trig: sum(map(mul, gd[p][lo:hi], trig))
+        if order == 0:
+            row = (moment(0, cs),)
+        elif order == 1:
+            s0 = moment(0, ss)
+            row = (-U * s0, V * s0 - h * moment(1, cs))
+        else:
+            c0, s1 = moment(0, cs), moment(1, ss)
+            c2 = h * h * moment(2, cs) - (V * V + h) * c0 - 2 * h * V * s1
+            row = (-U * U * c0, U * (V * c0 + h * s1), c2)
+        weight = (2 if m else 1) * exp(-s * pi * yr * m * m)
+        sums = [acc + weight * r for acc, r in zip(sums, row)]
+    G = [ctx.sqrt(yr / s) * v for v in sums]
 
-
-def _row_partials(order: int, U, V, h, moment, cs, ss) -> tuple:
-    """A row's partials of total ``order`` in the reduced displacement, by
-    ``b``-order, from its moments ``moment(cs, p) = sum g d^p cos(phi)`` and
-    ``moment(ss, p) = sum g d^p sin(phi)``, ``phi = U (a - x d)``: a term's ``a``-
-    and ``b``-partials carry ``i U`` and ``-(P + i V)`` (``V = U x``, ``P = h d``,
-    ``d/db P = h``).  Linear in the moments."""
-    if order == 0:
-        return (moment(cs, 0),)
-    if order == 1:
-        s0 = moment(ss, 0)
-        return (-U * s0, V * s0 - h * moment(cs, 1))
-    c0, s1 = moment(cs, 0), moment(ss, 1)
-    c2 = h * h * moment(cs, 2) - (V * V + h) * c0 - 2 * h * V * s1
-    return (-U * U * c0, U * (V * c0 + h * s1), c2)
-
-
-def _chain(G, L: tuple, order: int) -> tuple:
-    """Partials ``G`` in the reduced displacement ``L (a, b)`` taken back to ``(a, b)``:
-    d/da = l0 d/da' + l2 d/db', d/db = l1 d/da' + l3 d/db'."""
-    l0, l1, l2, l3 = L
+    # chain rule back to (a, b): d/da = l0 d/da' + l2 d/db', d/db = l1 d/da' + l3 d/db'
     if order == 0:
         return (G[0],)
     if order == 1:
@@ -426,37 +431,6 @@ def _chain(G, L: tuple, order: int) -> tuple:
     )
 
 
-def _lattice_sum(
-    s: float, z: HalfPlanePoint, a: float, b: float, order: int, trunc: SeriesTruncation, ctx: Any
-) -> tuple:
-    """The partials of total ``order`` (0..2), by ``b``-order, of
-
-        F(s; z; a, b) = sum_{(m,n) in Z^2} e^{-s pi |m z + n|^2 / y} e^{2 pi i (m a + n b)}.
-
-    After :func:`_reduce_point` (so ``y >= sqrt(3)/2`` bounds the terms) the
-    ``n``-sum is Poisson-summed on the smallest ellipse :func:`_lattice_tail`
-    certifies, and ``m < 0`` adds the conjugates of ``m > 0``:
-
-        F = sqrt(y/s) sum_{m, d in b + Z} e^{-s pi y m^2 - pi y d^2/s} e^{2 pi i m (a - x d)}
-    """
-    xr, yr, L, r2 = _reduced_ellipse(s, z, order, trunc, ctx)
-    l0, l1, l2, l3 = L
-    ar, br = l0 * a + l1 * b, l2 * a + l3 * b
-    pi, cos, sin = ctx.pi, ctx.cos, ctx.sin
-    h = 2 * pi * yr / s
-    sums = [0] * (order + 1)
-    ds, gd, rows = _lattice_column(br, r2, s, yr, order, ctx)
-    for m, (weight, lo, hi) in enumerate(rows):
-        U, V = 2 * pi * m, 2 * pi * m * xr
-        phis = [U * (ar - xr * d) for d in ds[lo:hi]]
-        cs = list(map(cos, phis))
-        ss = list(map(sin, phis)) if order else None
-        moment = lambda trig, p: sum(map(mul, gd[p][lo:hi], trig))
-        row = _row_partials(order, U, V, h, moment, cs, ss)
-        sums = [acc + weight * r for acc, r in zip(sums, row)]
-    return _chain([ctx.sqrt(yr / s) * v for v in sums], L, order)
-
-
 def _table_tail(r2: float, x: float, y: float, L: tuple) -> float:
     """Bound on any partial of order <= 2 of what :func:`_torus_table` drops at the reduced
     point, keeping ``Q = pi y m^2 + pi d^2/y <= r2`` (``d = m x + n``): the Gaussians of
@@ -466,7 +440,7 @@ def _table_tail(r2: float, x: float, y: float, L: tuple) -> float:
 
 
 def _torus_table(z: HalfPlanePoint, trunc: SeriesTruncation) -> tuple:
-    """``F(1; z; a, b)`` of :func:`_lattice_sum` as ``sum w cos(ka a + kb b)`` (binary64):
+    """``J(1; z; a, b)`` of :func:`_lattice_sum` as ``sum w cos(ka a + kb b)`` (binary64):
     ``L`` and, row ``m >= 0`` by row, a term ``(m, n, w, ka, kb)`` for one of each pair
     ``+-(m, n)`` with ``Q = pi |m z' + n|^2 / y' <= r2`` at the reduced point: ``w = 2
     e^{-Q}`` (1 at the origin), ``(ka, kb) = 2 pi (l0 m + l2 n, l1 m + l3 n)``.  ``r2`` is the
@@ -487,7 +461,7 @@ def _torus_table(z: HalfPlanePoint, trunc: SeriesTruncation) -> tuple:
 
 
 def _table_partials(table: tuple, a: float, b: float) -> tuple:
-    """``F_a, F_b, F_aa, F_ab, F_bb`` of a :func:`_torus_table` at ``(a, b)``, in one pass."""
+    """``J_a, J_b, J_aa, J_ab, J_bb`` of a :func:`_torus_table` at ``(a, b)``, in one pass."""
     (l0, l1, l2, l3), terms = table
     # the phases are formed in the reduced displacement, mod 1
     ar, br = math.tau * ((l0 * a + l1 * b) % 1.0), math.tau * ((l2 * a + l3 * b) % 1.0)
@@ -501,7 +475,7 @@ def _table_partials(table: tuple, a: float, b: float) -> tuple:
 
 
 def _table_grid(table: tuple, n: int) -> tuple:
-    """``(F_a, F_b)`` of a :func:`_torus_table` at every ``(a, b) = (i/n, j/n)``, as
+    """``(J_a, J_b)`` of a :func:`_torus_table` at every ``(a, b) = (i/n, j/n)``, as
     ``grid[q][i][j]``: taken at ``(i', j') = L (i, j)``, whose phase ``theta + psi``
     (``theta = 2 pi m i'/n``, ``psi = 2 pi n' j'/n``) separates, and gathered back."""
     (l0, l1, l2, l3), terms = table
@@ -509,7 +483,7 @@ def _table_grid(table: tuple, n: int) -> tuple:
     rows = terms[-1][0] + 1
     thetas = [[roots[m * i % n] for m in range(rows)] for i in range(n)]  # [i'][m]
     grids = []
-    for q in (3, 4):  # F_a from ka, F_b from kb
+    for q in (3, 4):  # J_a from ka, J_b from kb
         cols = [[0j] * rows for _ in range(n)]  # [j'][m]: the row's sum of -w k e^{i psi}
         for term in terms:
             m, nr, k = term[0], term[1], -term[2] * term[q]

@@ -15,13 +15,15 @@ middle band, rectangular up to ``alpha = 1``.  The band edges are
 
     alpha1 = 1/(1 + 2 sigma_1b),   alpha2 = 1/(1 + 2 sigma_1a).
 
-``critical_census`` enumerates the critical points of ``J(z; ., .)`` on the
-displacement torus (one torus table per call: its gradient grid, sign
-localization and damped Newton); the four universal points (0,0), (1/2,0), (0,1/2),
-(1/2,1/2) are critical for every ``z``, and the census reports torus
-representatives — mirror pairs under
-``(a, b) -> (1-a, 1-b)`` are listed individually, so the expected counts are
-four (square) and six (hexagonal, where (1/3, 1/3) and (2/3, 2/3) join).
+:func:`j_eval` and the census sum J in this one convention, through the
+lattice kernel and its torus table at ``s = 1``.  ``critical_census``
+enumerates the critical points of ``J(z; ., .)`` on the displacement torus
+(one torus table per call: its gradient grid, sign localization and damped
+Newton); the four universal points (0,0), (1/2,0), (0,1/2), (1/2,1/2) are
+critical for every ``z``, and the census reports torus representatives.  J is
+even, so the pairs ``(a, b)`` and ``(1-a, 1-b)`` are listed individually, and
+the expected counts are four (square) and six (hexagonal, where (1/3, 1/3)
+and (2/3, 2/3) join).
 """
 
 from __future__ import annotations
@@ -78,8 +80,9 @@ class Displacement:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.a) and math.isfinite(self.b)):
             raise DomainError(f"displacement must be finite, got ({self.a}, {self.b})")
-        object.__setattr__(self, "a", self.a - math.floor(self.a))
-        object.__setattr__(self, "b", self.b - math.floor(self.b))
+        for name in ("a", "b"):  # x - floor(x) rounds up to 1 at tiny x < 0
+            t = getattr(self, name) - math.floor(getattr(self, name))
+            object.__setattr__(self, name, t if t < 1.0 else 0.0)
 
 
 UNIVERSAL_POINTS = {
@@ -107,15 +110,7 @@ def j_eval(
         raise DomainError("displacement derivative orders must be 0, 1 or 2")
     if da_order + db_order > 2:
         raise DomainError("total displacement derivative order must be at most 2")
-    return _j_partials(z, d.a, d.b, da_order + db_order, trunc)[db_order]
-
-
-def _j_partials(z: HalfPlanePoint, a: float, b: float, order: int, trunc: SeriesTruncation):
-    """Every displacement partial of J of total ``order``, by ``b``-order, in one
-    kernel pass: J(z; a, b) is the kernel's sum at s = 1 and displacement
-    (a, -b) (substitute n -> -n), so the odd ``b``-partials change sign."""
-    partials = _lattice_sum(1, z, a, -b, order, trunc, math)
-    return tuple(p if q % 2 == 0 else -p for q, p in enumerate(partials))
+    return _lattice_sum(1, z, d.a, d.b, da_order + db_order, trunc, math)[db_order]
 
 
 def hessian_universal(
@@ -370,13 +365,13 @@ def critical_census(
     """All critical points of (a, b) -> J(z; a, b) on the unit torus.
 
     Grid sign-localization of the gradient and damped Newton, on one torus
-    table of the kernel sum F (J(a, b) = F(a, -b): points are mirrored in b;
-    TruncationError where it leaves ``trunc.max_index``); the four universal
-    points are seeded unconditionally.  Classification is by the sign of the
-    Hessian determinant (and of J_aa when it is positive); a Newton run that
-    stalls above ``refine_tol`` (0 < refine_tol < inf) is reported as
-    "degenerate" with its achieved residual.  Points within 1e-6 are one; they
-    are sorted torus representatives, mirror pairs under (a, b) -> (1-a, 1-b) both.
+    table of J's terms (TruncationError where it leaves ``trunc.max_index``);
+    the four universal points are seeded unconditionally.  Classification is
+    by the sign of the Hessian determinant (and of J_aa when it is positive); a
+    Newton run that stalls above ``refine_tol`` (0 < refine_tol < inf) is
+    reported as "degenerate" with its achieved residual.  Points within 1e-6
+    are one; they are sorted torus representatives, with both of each pair
+    (a, b), (1-a, 1-b).
     """
     if grid_n < 32:
         raise DomainError(f"census grid must have at least 32 points, got {grid_n}")
@@ -399,7 +394,7 @@ def critical_census(
     for a0, b0 in seeds:
         a, b, res, ok = _newton(table, a0, b0, refine_tol)
         spurious = not ok and res > 1e-5  # the cell's sign change had no nearby zero
-        if spurious or CriticalPointReport(tuple(points), len(points)).find(a, -b):
+        if spurious or CriticalPointReport(tuple(points), len(points)).find(a, b):
             continue
         _, _, haa, hab, hbb = _table_partials(table, a, b)
         det = haa * hbb - hab * hab
@@ -409,6 +404,6 @@ def critical_census(
             kind = "saddle"
         else:
             kind = "max" if haa < 0 else "min"
-        points.append(CriticalPoint(Displacement(a, -b), kind, res))
+        points.append(CriticalPoint(Displacement(a, b), kind, res))
     points.sort(key=lambda p: (p.d.a, p.d.b))
     return CriticalPointReport(points=tuple(points), count=len(points))

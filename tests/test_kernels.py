@@ -258,6 +258,9 @@ def test_theta2d_domain_errors():
         HalfPlanePoint(0.0, 0.0)
     with pytest.raises(DomainError):
         HalfPlanePoint(math.nan, 1.0)
+    for bad in ({"tail_tol": math.inf}, {"tail_tol": 0.0}, {"max_index": 1.5}, {"max_index": 0}):
+        with pytest.raises(DomainError):
+            SeriesTruncation(**bad)
 
 
 def plain_sum(s, x, y, a=0.0, b=0.0, da=0, db=0):

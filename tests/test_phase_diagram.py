@@ -205,6 +205,9 @@ class TestJEval:
         d = Displacement(1.25, -0.3)
         assert d.a == pytest.approx(0.25)
         assert d.b == pytest.approx(0.7)
+        # x - floor(x) rounds up to 1.0 here; the canonical value is 0
+        tiny = Displacement(-1e-17, -(2.0**-60))
+        assert (tiny.a, tiny.b) == (0.0, 0.0)
         with pytest.raises(DomainError):
             Displacement(math.nan, 0.0)
 
@@ -470,14 +473,12 @@ class TestCriticalCensus:
         "x,y", [(0.5, math.sqrt(3) / 2), (3.7, 0.05), (-1.3, 0.4), (0.2, 7.0)]
     )
     def test_table_partials_match_pointwise_partials(self, x, y):
-        # J(a, b) is the table's sum at (a, -b): odd b-partials change sign
         z, trunc = HalfPlanePoint(x, y), SeriesTruncation()
         table = kernels._torus_table(z, trunc)
         for a, b in [(0.1, 0.2), (0.37, 0.81), (0.5, 0.5), (0.9, 0.05), (0.25, 0.75), (0, 0)]:
-            fa, fb, faa, fab, fbb = kernels._table_partials(table, a, -b)
-            got = (fa, -fb, faa, -fab, fbb)
-            want = phase_diagram._j_partials(z, a, b, 1, trunc)
-            want += phase_diagram._j_partials(z, a, b, 2, trunc)
+            got = kernels._table_partials(table, a, b)
+            want = kernels._lattice_sum(1, z, a, b, 1, trunc, math)
+            want += kernels._lattice_sum(1, z, a, b, 2, trunc, math)
             for g, p in zip(got, want):
                 assert abs(g - p) <= 1e-13 * (1 + abs(p)), (a, b)
 
@@ -508,6 +509,18 @@ class TestCriticalCensus:
         for grid_n in (32, 64):
             kinds = [p.kind for p in critical_census(z, grid_n=grid_n).points]
             assert len(kinds) == 6 and kinds.count("min") == 2, grid_n
+
+    @pytest.mark.parametrize("x,y", [(0.4431, 1.0442), (0.23, 1.31)])
+    def test_census_points_are_critical_without_b_symmetry(self, x, y):
+        # at x not in {0, 1/2} J(a, b) != J(a, -b), so a census that mixed up
+        # the sign of b would report points where the gradient does not vanish
+        z = HalfPlanePoint(x, y)
+        for p in critical_census(z, grid_n=32).points:
+            assert math.hypot(j_eval(z, p.d, 1, 0), j_eval(z, p.d, 0, 1)) <= 1e-9, p
+            haa, hab, hbb = (j_eval(z, p.d, 2 - q, q) for q in range(3))
+            det = haa * hbb - hab * hab
+            expected = "saddle" if det < 0 else ("max" if haa < 0 else "min")
+            assert p.kind == expected, p
 
     @pytest.mark.parametrize("refine_tol", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_refine_tol(self, refine_tol):

@@ -6,7 +6,9 @@ finite-difference grids, and the closed-form minimizer as the counterpart
 of the brute grid search.
 """
 
+import importlib.util
 import math
+import pathlib
 
 import mpmath
 import numpy as np
@@ -428,6 +430,15 @@ class TestAppendixTables:
             y = float(y)
             tail = 1352 * math.pi * y**1.5 * math.exp(-6 * math.pi * y)
             assert eval_table(pab, y) - tail > 0
+
+    def test_generated_tables_match_their_derivation(self):
+        # polydata.py is generated; a hand edit or a changed derivation shows here
+        pytest.importorskip("sympy")
+        path = pathlib.Path(__file__).resolve().parent.parent / "tools" / "derive_poly_tables.py"
+        spec = importlib.util.spec_from_file_location("derive_poly_tables", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        assert script.render().encode() == pathlib.Path(polydata.__file__).read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -268,7 +268,8 @@ def assert_close(name, got, want, rel=1e-9):
     print(f"  {name}: {got:.12g} OK")
 
 
-def main():
+def render() -> str:
+    """Expand and check the tables, and return the text of polydata.py."""
     xa, ya = series_expr(XA_TERMS), series_expr(YA_TERMS)
     aa, aa5 = series_expr(AA_MONOMIALS), series_expr(AA_MONOMIALS_5TERM)
     ba = series_expr(BA_TERMS)
@@ -325,7 +326,6 @@ def main():
     assert_close("fab_printed_1p12", evaluate(tables["FAB_WEIGHTED"], 1.12), FROZEN["fab_printed_1p12"])
     assert_close("fab_derived_1p12", evaluate(tables["FAB_DERIVED"], 1.12), FROZEN["fab_derived_1p12"])
 
-    out = pathlib.Path(__file__).resolve().parent.parent / "src" / "latticetheta" / "polydata.py"
     lines = [
         '"""Exponential-polynomial tables for the weighted Wronskian bounds.',
         "",
@@ -363,7 +363,12 @@ def main():
     lines += ["", "STATED_VALUES = {"]
     lines += [f'    "{key}": {value!r},' for key, value in STATED_VALUES.items()]
     lines += ["}", f"SUITES = {SUITES!r}", ""]
-    out.write_text("\n".join(lines))
+    return "\n".join(lines)
+
+
+def main():
+    out = pathlib.Path(__file__).resolve().parent.parent / "src" / "latticetheta" / "polydata.py"
+    out.write_text(render())
     print(f"wrote {out}")
 
 
