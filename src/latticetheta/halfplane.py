@@ -53,7 +53,7 @@ _SQRT3 = math.sqrt(3.0)
 
 
 class ReductionError(RuntimeError):
-    """Fundamental-domain reduction failed to terminate (rounding pathology)."""
+    """Fundamental-domain reduction failed: |z|^2 underflowed, or it did not terminate."""
 
 
 class GroupId(enum.Enum):
@@ -174,13 +174,13 @@ def reduce(z: HalfPlanePoint, group: GroupId) -> Tuple[HalfPlanePoint, MoebiusWo
             b, c, reflect = -b, -c, not reflect
             gens.append("R")
         r2 = x * x + y * y
-        if r2 >= 1.0:
+        if r2 >= 1.0 or not r2:
             break
         x, y = -x / r2, y / r2
         a, b, c, d = -c, -d, a, b
         gens.append("S")
-    else:
-        raise ReductionError(f"reduction of ({z.x}, {z.y}) exceeded {_REDUCE_MAX_STEPS} steps")
+    if r2 < 1.0:  # |z|^2 underflowed to 0, or the steps ran out
+        raise ReductionError(f"reduction of ({z.x}, {z.y}) stopped at |z|^2 = {r2}")
 
     # boundary canonicalization
     if x < 0.0 and abs(x * x + y * y - 1.0) <= 4e-16:

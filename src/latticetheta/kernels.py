@@ -11,20 +11,20 @@ This module is the numerical foundation of the package.  It evaluates
   half-plane and its midpoint-shifted companion ``theta2d_shifted(s; z)``,
   through one kernel for ``J(s; z; a, b) = sum e^{-s pi |m z - n|^2 / y}
   e^{2 pi i (m a + n b)}``, which is ``theta2d`` at ``a = b = 0`` and J of
-  :mod:`phase_diagram` at ``s = 1``: reduce ``z`` into the fundamental domain,
-  carry the displacement through the word, and sum the Poisson-summed series
-  on an ellipse certified by a closed-form Gaussian bound (the genus-1 case of
-  Deconinck et al., "Computing Riemann theta functions", Math. Comp. 73
-  (2004)); for the critical-point census, one certified table of J's terms
-  serves every displacement and grid.
+  :mod:`phase_diagram` at ``s = 1``: reduce ``z`` into the fundamental domain by
+  a Gauss loop on integers, carry the displacement through its matrix, and sum
+  the Poisson-summed series on an ellipse certified by a closed-form Gaussian
+  bound (the genus-1 case of Deconinck et al., "Computing Riemann theta
+  functions", Math. Comp. 73 (2004)); for the critical-point census, one
+  certified table of J's terms serves every displacement and grid.
 
 Every series is truncated only once a bound certifies the discarded tail
 below the requested tolerance; ``tail_bound`` exposes the bounds themselves,
 through the functions the sums use, so callers (and tests) can audit them.
 
-All functions are pure.  The ``ctx`` parameter selects the arithmetic
-backend: the default is the ``math`` module (binary64); passing ``mpmath.mp``
-switches the same code path to software floats for high-precision work.
+All functions are pure.  ``ctx`` selects the arithmetic backend: ``math``
+(binary64, the default) forms every term directly; ``mpmath.mp`` runs the same
+code in software floats, with the lattice rows' terms built by recurrence.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import accumulate, product, repeat
 from operator import mul
 from typing import Any
 
@@ -302,24 +303,32 @@ def _reduce_point(z: HalfPlanePoint, ctx: Any):
     with ``J(s; z; a, b) = F(s; z'; L (a, b))`` for ``J`` of :func:`_lattice_sum` and
     ``F`` the same sum with ``m z + n`` in place of ``m z - n``.
 
-    The word is found in binary64 for ``z - k`` (``k`` the integer nearest
-    ``x``); ``z'`` is recomputed in the backend from ``x - k`` and ``y``.
-    Substituting ``n -> -n`` and renumbering ``(m, n)`` by the word keep the sum,
-    so ``L = (A, B; C, D) diag(1, sigma) (1, k; 0, -1)``, ``sigma = -1`` if it
-    reflects (flips b)."""
+    ``(A, B; C, D)`` is :func:`halfplane.reduce`'s Gamma matrix for ``z - k`` (``k`` the
+    integer nearest ``x``), by its Gauss loop, boundary rules and sign on the integers alone
+    (TruncationError, bound inf, if ``|z|^2`` underflows); ``z'`` is formed in the backend.
+    ``n -> -n`` and renumbering ``(m, n)`` by the matrix give ``L = (A, B; C, D) (1, k; 0, -1)``."""
     k = math.floor(float(z.x) + 0.5)
-    _, word = halfplane.reduce(HalfPlanePoint(float(z.x) - k, float(z.y)), halfplane.GroupId.Gamma)
-    A, B, C, D = word.matrix
-    sigma = -1 if word.reflect else 1
+    xf, yf, (A, B, C, D) = float(z.x) - k, float(z.y), (1, 0, 0, 1)
+    for _ in range(256):  # translate into [-1/2, 1/2), invert while |z| < 1
+        xf, A, B = xf - (t := math.floor(xf + 0.5)), A - t * C, B - t * D
+        if (r2 := xf * xf + yf * yf) >= 1.0 or not r2:
+            break
+        xf, yf, A, B, C, D = -xf / r2, yf / r2, -C, -D, A, B
+    if r2 < 1.0:  # |z|^2 underflowed to 0 (or the steps ran out)
+        raise TruncationError(f"reduction of z=({z.x}, {z.y}) stops at |z|^2 = {r2}", math.inf)
+    if xf < 0.0 and abs(r2 - 1.0) <= 4e-16:  # a tie on the unit circle goes to x >= 0
+        xf, A, B, C, D = -xf, -C, -D, A, B
+    A, B = (A + C, B + D) if xf == -0.5 else (A, B)  # and x = -1/2 to +1/2
+    A, B, C, D = (-A, -B, -C, -D) if (C, D) < (0, 0) else (A, B, C, D)  # halfplane's sign
     one = ctx.exp(0)  # 1 in the backend's type; x - k is exact in it
-    x, y = sigma * (one * z.x - k), one * z.y
+    x, y = one * z.x - k, one * z.y
     if ctx is math:  # exact numerators: A x + B and C x + D cancel when y is tiny
         p, n = x.as_integer_ratio()
         u, q = (A * p + B * n) / n, (C * p + D * n) / n
     else:
         u, q = A * x + B, C * x + D
     den = q * q + (C * y) ** 2
-    return (u * q + A * C * y * y) / den, y / den, (A, k * A - sigma * B, C, k * C - sigma * D)
+    return (u * q + A * C * y * y) / den, y / den, (A, k * A - B, C, k * C - D)
 
 
 def _lattice_tail(r2: float, s: float, x: float, y: float, order: int, L: tuple) -> float:
@@ -335,10 +344,10 @@ def _lattice_tail(r2: float, s: float, x: float, y: float, order: int, L: tuple)
     rows with ``alpha m^2 <= r2`` drops at most ``2 t(beta') e^{-(1-eps) r2}``
     and the rows beyond ``4 t(alpha') t(beta') e^{-(1-eps) r2}``.  Scaled by
     ``sqrt(y/s)`` and the chain rule's largest gain through ``L``."""
-    if r2 <= order / 2:
+    growth = max(abs(L[0]) + abs(L[2]), abs(L[1]) + abs(L[3])) ** order
+    if r2 <= order / 2 or growth > 1.7976931348623157e308:  # or the gain passes every float
         return math.inf
     alpha, beta = s * math.pi * y, math.pi * y / s
-    growth = max(abs(L[0]) + abs(L[2]), abs(L[1]) + abs(L[3])) ** order
     R, shrink = math.sqrt(r2), 1.0 - order / (2.0 * r2)
     c = 2.0 * math.pi * math.sqrt(max(1.0, x * x) / alpha + (y / s) ** 2 / beta)
     weight = (c * R + math.sqrt(2.0 * math.pi * y / s)) ** order
@@ -368,12 +377,15 @@ def _lattice_sum(
 
     It is ``F(s; z'; L (a, b))`` of :func:`_reduce_point` (so ``y >= sqrt(3)/2`` bounds
     the terms), whose ``n``-sum is Poisson-summed on the smallest ellipse
-    :func:`_lattice_tail` certifies, and ``m < 0`` adds the conjugates of ``m > 0``:
+    :func:`_lattice_tail` certifies, and ``m < 0`` adds the conjugates of ``m > 0``
+    (binary64 forms each term directly; another backend forms ``L (a, b)`` in its own
+    precision and each row's Gaussians and phases by recurrence):
 
         F(s; z; a, b) = sqrt(y/s) sum_{m, d in b + Z} e^{-s pi y m^2 - pi y d^2/s} e^{2 pi i m (a - x d)}
     """
     xr, yr, L = _reduce_point(z, ctx)
     l0, l1, l2, l3 = L
+    a, b = (a, b) if ctx is math else (ctx.mpf(a), ctx.mpf(b))  # L mixes them in the backend
     ar, br = l0 * a + l1 * b, l2 * a + l3 * b
     sf, xf, yf = float(s), float(xr), float(yr)
     alpha, beta = sf * math.pi * yf, math.pi * yf / sf
@@ -393,18 +405,30 @@ def _lattice_sum(
     reach = math.sqrt(r2 / beta)
     j0 = math.ceil(-reach - float(t))
     ds = [t + j for j in range(j0, math.floor(reach - float(t)) + 1)]
-    gd = [[exp(-pi * yr * d * d / s) for d in ds]]
+    h = 2 * pi * yr / s
+    if ctx is math:
+        gd = [[exp(-pi * yr * d * d / s) for d in ds]]
+    else:  # e^{-h (d + 1)^2 / 2} = e^{-h d^2 / 2} r, r = e^{-h (d + 1/2)}, and r gains e^{-h}
+        rs = accumulate(repeat(exp(-h), len(ds)), mul, initial=exp(-h * (t + j0 + 0.5)))
+        gd = [list(accumulate(rs, mul, initial=exp(-h * (t + j0) ** 2 / 2)))[: len(ds)]]
     for _ in range(order):
         gd.append([w * d for w, d in zip(gd[-1], ds)])
-    h = 2 * pi * yr / s
     sums = [0] * (order + 1)
     for m in range(int(math.sqrt(r2 / alpha)) + 1):
         reach = math.sqrt((r2 - alpha * m * m) / beta)
         lo, hi = math.ceil(-reach - float(t)) - j0, math.floor(reach - float(t)) - j0 + 1
         U, V = 2 * pi * m, 2 * pi * m * xr
-        phis = [U * (ar - xr * d) for d in ds[lo:hi]]
-        cs = list(map(cos, phis))
-        ss = list(map(sin, phis)) if order else None
+        if not m:  # row 0 has phase 0
+            cs, ss = [1] * (hi - lo), [0] * (hi - lo)
+        elif ctx is math:
+            phis = [U * (ar - xr * d) for d in ds[lo:hi]]
+            cs, ss = list(map(cos, phis)), list(map(sin, phis)) if order else None
+        else:  # phi0 + j delta along the row: f_{j+1} = k f_j - f_{j-1}, k = 2 cos(delta)
+            phi, delta = U * (ar - xr * (t + (j0 + lo))), -U * xr
+            k, runs = 2 * cos(delta), [[f(phi), f(phi + delta)] for f in (cos, sin)[: order + 1]]
+            for run, _ in product(runs, range(hi - lo - 2)):
+                run.append(k * run[-1] - run[-2])
+            cs, ss = runs[0], runs[-1]  # each moment zips a run with the row's Gaussians
         moment = lambda p, trig: sum(map(mul, gd[p][lo:hi], trig))
         if order == 0:
             row = (moment(0, cs),)
@@ -570,7 +594,3 @@ def tail_bound(kind: str, N: int, **params: float) -> float:
         xr, yr, L = _reduce_point(HalfPlanePoint(params.get("x", 0.0), y), math)
         return _lattice_tail(N * N * math.pi * yr * min(s, 1 / s), s, xr, yr, order, L)
     raise DomainError(f"unknown tail bound kind {kind!r}")
-
-
-# last, so that halfplane finds this module's names when it imports them
-from . import halfplane  # noqa: E402

@@ -184,6 +184,11 @@ class TestEval:
         code, _, err = run(capsys, "eval", "theta", "--z", "0-2i")
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("z", ["0.1+1e-320i", "0.3+1e-300i"])
+    def test_point_that_cannot_be_reduced_exits_2(self, capsys, z):
+        code, out, err = run(capsys, "eval", "theta", "--z", z)
+        assert code == 2 and out == "" and "error:" in err
+
     def test_tol_override_reaches_the_tail_column(self, capsys):
         _, out, _ = run(capsys, "eval", "theta", "--z", "0+1i", "--tol", "1e-10")
         (row,) = rows_of(out)

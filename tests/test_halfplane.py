@@ -25,6 +25,7 @@ from latticetheta.halfplane import (
     REFLECTION,
     TRANSLATION,
     TRANSLATION2,
+    ReductionError,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -169,6 +170,12 @@ def test_reduce_records_a_translation_run_as_one_power(group, label):
     assert close(p, HalfPlanePoint(0.0, 1.0))
     assert w.matrix == (1, -1_000_000, 0, 1) and not w.reflect
     assert w.gens == (label,)
+
+
+@pytest.mark.parametrize("x,y", [(0.1, 1e-320), (1e-300, 1e-300)])
+def test_reduce_raises_when_the_modulus_underflows(x, y):
+    with pytest.raises(ReductionError, match=r"\|z\|\^2 = 0\.0"):
+        reduce(HalfPlanePoint(x, y), GroupId.Gamma)
 
 
 def test_reduce_rejects_bad_group():

@@ -6,13 +6,14 @@ double sum over a large square block of the lattice for ``theta2d``.
 """
 
 import math
+import random
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticetheta import kernels
+from latticetheta import halfplane, kernels
 from latticetheta import (
     DEFAULT_TRUNCATION,
     Displacement,
@@ -263,27 +264,32 @@ def test_theta2d_domain_errors():
             SeriesTruncation(**bad)
 
 
-def plain_sum(s, x, y, a=0.0, b=0.0, da=0, db=0):
+def direct_sum(s, x, y, a=0, b=0, da=0, db=0, cut=40):
     """sum_{m,n} e^{-s pi |m z - n|^2 / y} (2 pi m)^da (2 pi n)^db times the
-    matching derivative of cos(2 pi (m a + n b)), at 30 digits.
+    matching derivative of cos(2 pi (m a + n b)), at mpmath's working precision.
 
     At a = b = 0 and da = db = 0 this is theta(s; z); at s = 1 it is J(z; a, b)
     and its displacement partials.  Each row m keeps the n within
-    sqrt(40 y / (s pi)) of m x, and the rows end at s pi y m^2 > 40.
+    sqrt(cut y / (s pi)) of m x, and the rows end at s pi y m^2 > cut.
     """
+    x, y, a, b = mp.mpf(x), mp.mpf(y), mp.mpf(a), mp.mpf(b)
+    reach = cut / (s * mp.pi)
+    rows, spread = int(mp.sqrt(reach / y)) + 1, int(mp.sqrt(reach * y)) + 1
+    total = mp.mpf(0)
+    for m in range(-rows, rows + 1):
+        centre = int(mp.nint(m * x))
+        for n in range(centre - spread, centre + spread + 1):
+            w = mp.exp(-s * mp.pi * ((m * x - n) ** 2 / y + m * m * y))
+            phase = 2 * mp.pi * (m * a + n * b)
+            trig = (mp.cos(phase), -mp.sin(phase), -mp.cos(phase))[da + db]
+            total += w * (2 * mp.pi * m) ** da * (2 * mp.pi * n) ** db * trig
+    return total
+
+
+def plain_sum(s, x, y, a=0.0, b=0.0, da=0, db=0):
+    """:func:`direct_sum` at 30 digits, as a float."""
     with mp.workdps(30):
-        x, y, a, b = mp.mpf(x), mp.mpf(y), mp.mpf(a), mp.mpf(b)
-        reach = 40 / (s * mp.pi)
-        rows, spread = int(mp.sqrt(reach / y)) + 1, int(mp.sqrt(reach * y)) + 1
-        total = mp.mpf(0)
-        for m in range(-rows, rows + 1):
-            centre = int(mp.nint(m * x))
-            for n in range(centre - spread, centre + spread + 1):
-                w = mp.exp(-s * mp.pi * ((m * x - n) ** 2 / y + m * m * y))
-                phase = 2 * mp.pi * (m * a + n * b)
-                trig = (mp.cos(phase), -mp.sin(phase), -mp.cos(phase))[da + db]
-                total += w * (2 * mp.pi * m) ** da * (2 * mp.pi * n) ** db * trig
-        return float(total)
+        return float(direct_sum(s, x, y, a, b, da, db))
 
 
 # far below the fundamental domain, far above it, and far to either side
@@ -320,6 +326,103 @@ def test_lattice_kernel_raises_when_max_index_cannot_certify():
     with pytest.raises(TruncationError) as exc:
         j_eval(z, Displacement(0.2, 0.7), 1, 1, tight)
     assert exc.value.achieved_bound == tail_bound("lattice", 1, x=0.3, y=1.4, order=2)
+
+
+@pytest.mark.parametrize("x,y", [(0.1, 1e-320), (1e-300, 1e-300)])
+def test_reduction_that_underflows_raises_truncation_error(x, y):
+    # |z|^2 underflows to 0 on the way into the fundamental domain
+    with pytest.raises(TruncationError) as exc:
+        theta2d(1, HalfPlanePoint(x, y))
+    assert exc.value.achieved_bound == math.inf
+
+
+def test_chain_rule_growth_past_a_float_raises_truncation_error():
+    # z = 1e300 + i reduces through L = (1, 1e300, 0, 1): the order-2 gain is 1e600
+    with pytest.raises(TruncationError) as exc:
+        j_eval(HalfPlanePoint(1e300, 1.0), Displacement(0.3, 0.7), 0, 2)
+    assert exc.value.achieved_bound == math.inf
+    assert kernels._lattice_tail(50.0, 1.0, 0.0, 1.0, 2, (1, 10**300, 0, 1)) == math.inf
+    assert math.isfinite(kernels._lattice_tail(50.0, 1.0, 0.0, 1.0, 2, (1, 10**150, 0, 1)))
+
+
+def reduced_by_halfplane(z):
+    """``_reduce_point``'s ``L`` from :func:`halfplane.reduce`'s word for ``z - k``."""
+    k = math.floor(z.x + 0.5)
+    _, word = halfplane.reduce(HalfPlanePoint(z.x - k, z.y), halfplane.GroupId.Gamma)
+    (A, B, C, D), p = word.matrix, halfplane.apply(word, HalfPlanePoint(z.x - k, z.y))
+    assert not word.reflect
+    return p, (A, k * A - B, C, k * C - D)
+
+
+REDUCTION_POINTS = [
+    (0.5, math.sqrt(3) / 2),
+    (-0.5, math.sqrt(3) / 2),
+    (0.49999999999999994, 0.8660254037844386),
+    (0.0, 1.0),
+    (-0.3, math.sqrt(1 - 0.09)),
+    (math.cos(2.0), math.sin(2.0)),
+    (-0.1, math.sqrt(1 - 0.01)),
+    (0.5, 0.01),
+    (-0.5, 0.01),
+    (0.5, 1e-5),
+    (-0.5, 0.2),
+    (1e6, 1.0),
+    (1e17, 1.0),
+]
+
+
+def test_reduce_point_matches_halfplane_reduce():
+    rng = random.Random(17)
+    seeded = [(rng.uniform(-5, 5), 10 ** rng.uniform(-3, 2)) for _ in range(2000)]
+    for x, y in REDUCTION_POINTS + seeded:
+        z = HalfPlanePoint(x, y)
+        xr, yr, L = kernels._reduce_point(z, math)
+        p, want = reduced_by_halfplane(z)
+        assert L == want, (x, y)
+        assert abs(xr - p.x) <= 1e-9 and abs(yr - p.y) <= 1e-9 * p.y, (x, y)
+
+
+def test_binary64_kernels_make_no_halfplane_reduce_call(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("halfplane.reduce called")
+
+    monkeypatch.setattr(halfplane, "reduce", refuse)
+    for x, y in [(0.3, 1.4), (-2.7, 0.05), (0.5, math.sqrt(3) / 2)]:
+        z = HalfPlanePoint(x, y)
+        assert theta2d(1, z) == pytest.approx(plain_sum(1, x, y), rel=1e-12)
+        j_eval(z, Displacement(0.3, 0.7), 1, 1)
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_extended_thetas_match_50_digit_sums(s):
+    # The 30-digit rows come by recurrence; the reference sums every term directly.
+    # A tail of 1e-25 is certified, not 1e-27 (the truncation alone leaves up to
+    # 4e-27 here), so the recurrences' rounding is checked at a tail of 1e-29.
+    for x, y in [(0.3, 10**-2.5), (-1.7, 0.1), (0.5, 1.0), (2.2, 10.0), (-0.05, 100.0)]:
+        with mp.workdps(50):
+            want = direct_sum(s, x, y, cut=130)
+            want_shifted = direct_sum(s, (mp.mpf(x) + 1) / 2, mp.mpf(y) / 2, cut=130)
+        for tol, rel in [(1e-25, 1e-25), (1e-29, 1e-27)]:
+            with mp.workdps(30):
+                got = theta2d(s, HalfPlanePoint(x, y), SeriesTruncation(tail_tol=tol), mp.mp)
+                shifted = theta2d_shifted(s, HalfPlanePoint(x, y), SeriesTruncation(tail_tol=tol), mp.mp)
+            assert abs(got - want) <= rel * want, (x, y, tol)
+            assert abs(shifted - want_shifted) <= rel * want_shifted, (x, y, tol)
+
+
+@pytest.mark.parametrize(
+    "x,y,a,b", [(2.2821, 0.177, 0.3, 0.7), (-0.41, 0.05, 0.77, 0.14), (0.2, 1.3, 0.61, 0.23)]
+)
+def test_extended_j_partials_at_a_displacement_match_45_digit_sums(x, y, a, b):
+    # L mixes a and b in the backend: formed in binary64 they were 8e-15 off here
+    tight, z = SeriesTruncation(tail_tol=1e-25), HalfPlanePoint(x, y)
+    for order in (0, 1, 2):
+        with mp.workdps(30):
+            got = kernels._lattice_sum(1, z, a, b, order, tight, mp.mp)
+        with mp.workdps(45):
+            want = [direct_sum(1, x, y, a, b, order - db, db, cut=110) for db in range(order + 1)]
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-24 * (1 + abs(w)), (order, g, w)
 
 
 @pytest.mark.parametrize("x,y,n", [(0.5, 0.9, 32), (-1.3, 0.4, 33), (3.7, 0.05, 35)])

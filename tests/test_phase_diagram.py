@@ -494,6 +494,12 @@ class TestCriticalCensus:
         table_bound = kernels._table_tail(cap, xr, yr, L)
         assert 1e-13 < census.value.achieved_bound == table_bound < math.inf
 
+    def test_census_raises_when_the_chain_rule_growth_passes_a_float(self):
+        # z = 1e300 + i reduces through L = (1, 1e300, 0, 1), whose square overflows
+        with pytest.raises(TruncationError) as census:
+            critical_census(HalfPlanePoint(1e300, 1.0), 32)
+        assert census.value.achieved_bound == math.inf
+
     def test_census_makes_no_lattice_sum_call(self, monkeypatch):
         calls = []
         original = kernels._lattice_sum
