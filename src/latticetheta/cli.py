@@ -34,6 +34,7 @@ from .kernels import (
     HalfPlanePoint,
     SeriesTruncation,
     TruncationError,
+    _lattice_sum,
     theta2d,
     theta2d_shifted,
 )
@@ -142,8 +143,7 @@ def cmd_eval(args: argparse.Namespace) -> Tuple[List[Dict[str, Any]], int]:
         row.update(x=z.x, y=z.y, a=args.a, b=args.b)
         row["value"] = j_eval(z, d, trunc=trunc)
         if args.grad:
-            row["dJ_da"] = j_eval(z, d, 1, 0, trunc)
-            row["dJ_db"] = j_eval(z, d, 0, 1, trunc)
+            row["dJ_da"], row["dJ_db"] = _lattice_sum(1, z, d.a, d.b, 1, trunc, math)
     elif args.expr == "E_MH":
         if args.precision == "extended":
             raise UsageError("extended precision is not available for E_MH")

@@ -11,11 +11,11 @@ of four building blocks::
 namely  W1,rho(iy) = Y(y)/2 + rho X(y)  and  sqrt(2) W2,rho(iy) =
 (1 + rho) A(y) + B(y).  The stationarity equations along the axis are the
 quotient equations Y'/X' + c = 0 and 1 + B'/A' + c = 0, whose unique roots in
-(1, sqrt(3)] are produced by :func:`solve_y_branch` with the bracketed
-Illinois false-position routine that also finds the phase diagram's alpha0.
-Note the factor two:
-the W1 segment minimizer at weight rho is the root for c = 2 rho, because
-differentiating Y/2 + rho X gives Y'/X' = -2 rho.
+(1, sqrt(3)] :func:`solve_y_branch` brackets from a cached table of the
+quotient and finishes by Newton steps inside the Illinois false position that
+also finds the phase diagram's alpha0.  Note the factor two: the W1 segment
+minimizer at weight rho is the root for c = 2 rho, because differentiating
+Y/2 + rho X gives Y'/X' = -2 rho.
 
 The thresholds where the segment branch dies are the L'Hopital limits of the
 quotients at y = 1:
@@ -68,10 +68,11 @@ __all__ = [
 
 SQRT3 = math.sqrt(3.0)
 
-_BRACKET_LO = 1.0 + 1e-9
 _POLISH_RESIDUAL = 1e-12
 _EXPANSION_RADIUS = 3e-5
 _CORNER = HalfPlanePoint(0.0, 1.0)
+_U_ENDS = math.log(1.0 + 1e-9) ** 2, math.log(SQRT3) ** 2  # u = (ln y)^2 at the branch bracket
+_U_NODES = tuple((_U_ENDS[0] * (8 - i) + _U_ENDS[1] * i) / 8 for i in range(9))  # ends exact
 
 
 class NoRootError(ArithmeticError):
@@ -280,16 +281,15 @@ def solve_y_branch(
 ) -> float:
     """Root in (1, sqrt(3)] of Y'/X' + c = 0 (W1) or 1 + B'/A' + c = 0 (W2).
 
-    The quotient is strictly increasing on (1, infinity), so the root is
-    unique.  :func:`_bracketed_root` runs on [1 + 1e-9, sqrt(3)] until the
-    residual is at most 1e-12 (near the top of the window the quotient's
-    float noise can exceed that; the search then stops when the bracket is
-    a few ulps wide).  The quotient at the two bracket ends does not depend
-    on ``c``, so it is computed once per kind and truncation, the cache's key
-    (``solve_y_branch.cache_info``/``cache_clear``), and only ``c`` is added
-    per call.  ``c`` must lie in [0, window) where the window is 2*rho1 for W1
-    and rho2 for W2; past the window there is no root and the minimizer sits
-    at the corner.
+    The quotient increases on (1, infinity) and is even in ln y, so it is
+    nearly linear in u = (ln y)^2.  A table of it at nine nodes uniform in u on
+    [1 + 1e-9, sqrt(3)], filled on the first solve per kind and truncation (the
+    cache's key: ``solve_y_branch.cache_info``/``cache_clear``), brackets the
+    root; :func:`_bracketed_root` then takes Newton steps in u until the
+    residual is at most 1e-12, or, where the quotient's float noise exceeds
+    that, until the bracket is a few ulps wide.  ``c`` must lie in
+    [0, window), the window being 2*rho1 for W1 and rho2 for W2; past it there
+    is no root and the minimizer sits at the corner.
     """
     if not c >= 0:
         raise DomainError(f"solve_y_branch needs c >= 0, got {c}")
@@ -301,29 +301,30 @@ def solve_y_branch(
             f"{_branch_window(kind, trunc):.12f}; no segment root exists"
         )
 
-    # every iterate lies above _BRACKET_LO, clear of quotient's L'Hopital branch;
-    # adding the offset before c keeps q + c (W1) and (1 + q) + c (W2) bit for bit
+    # every node and iterate lies above 1 + 1e-9, clear of quotient's L'Hopital branch
     qkind, offset = ("ZofXY", 0.0) if kind is FunctionalKind.W1 else ("CofAB", 1.0)
-    f = lambda t: (offset + quotient(qkind, t, trunc)) + c
-    qlo, qhi = _bracket_ends(qkind, trunc)
-    lo, hi = _BRACKET_LO, SQRT3
-    flo, fhi = (offset + qlo) + c, (offset + qhi) + c
-    if not flo < 0 < fhi:
+    def f(u: float) -> Tuple[float, float]:  # the residual and its slope in u
+        q, dq = _quotient_jet(qkind, y := math.exp(t := math.sqrt(u)), trunc)
+        return (offset + q) + c, dq * y / (2 * t)
+    fs = [(offset + q) + c for q in _root_table(qkind, trunc)]
+    if not fs[0] < 0 < fs[-1]:
         raise NoRootError(
             f"{kind.value}: no sign change on the bracket for c = {c} "
-            f"(f(lo) = {flo:.3e}, f(hi) = {fhi:.3e})"
+            f"(f(lo) = {fs[0]:.3e}, f(hi) = {fs[-1]:.3e})"
         )
-    return _bracketed_root(f, lo, flo, hi, fhi, _POLISH_RESIDUAL)
+    k = next(i for i, v in enumerate(fs) if v >= 0)  # fs[k - 1] < 0 <= fs[k]
+    u = _bracketed_root(f, _U_NODES[k - 1], fs[k - 1], _U_NODES[k], fs[k], _POLISH_RESIDUAL)
+    return math.exp(math.sqrt(u))
 
 
 @_cached(solve_y_branch)
-def _bracket_ends(qkind: str, trunc: SeriesTruncation) -> Tuple[float, float]:
-    """The quotient at both ends of the branch bracket, which do not depend on c."""
-    return quotient(qkind, _BRACKET_LO, trunc), quotient(qkind, SQRT3, trunc)
+def _root_table(qkind: str, trunc: SeriesTruncation) -> Tuple[float, ...]:
+    """The quotient at the nodes ``_U_NODES``, which do not depend on c."""
+    return tuple(_quotient_jet(qkind, math.exp(math.sqrt(u)), trunc)[0] for u in _U_NODES)
 
 
 def _bracketed_root(
-    f: Callable[[float], float], a: float, fa: float, b: float, fb: float, ftol: float
+    f: Callable[[float], Tuple[float, Any]], a: float, fa: float, b: float, fb: float, ftol: float
 ) -> float:
     """Root of ``f`` between ``a`` and ``b``, where ``fa`` and ``fb`` differ in sign.
 
@@ -331,16 +332,19 @@ def _bracketed_root(
     step interpolates the stored end values and replaces the end whose sign
     the new value shares, so the bracket is always kept; an end kept twice
     in a row has its stored value halved, and a step that rounds onto an end
-    falls back to the midpoint.  Stops once an end has |f| <= ``ftol`` or
-    the bracket is a few ulps wide, and returns the end with the smaller |f|.
+    falls back to the midpoint.  ``f`` returns f(x) and f'(x) or None; with
+    a slope, the Newton step from the newest iterate is taken instead when it
+    lands strictly inside the bracket.  Stops once an end has |f| <= ``ftol``
+    or the bracket is a few ulps wide, and returns the end with the smaller |f|.
     """
     wa = wb = 1.0  # the halvings of the stored end values
-    kept = None
+    kept, xn = None, math.nan  # xn: the Newton step from the newest iterate
     while abs(fa) > ftol and abs(fb) > ftol and abs(b - a) > 4 * math.ulp(max(abs(a), abs(b))):
-        x = b - wb * fb * (b - a) / (wb * fb - wa * fa)
+        x = xn if min(a, b) < xn < max(a, b) else b - wb * fb * (b - a) / (wb * fb - wa * fa)
         if not min(a, b) < x < max(a, b):
             x = 0.5 * (a + b)
-        fx = f(x)
+        fx, slope = f(x)
+        xn = x - fx / slope if slope else math.nan
         if (fx < 0) == (fb < 0):
             b, fb, wb = x, fx, 1.0
             wa, kept = (0.5 * wa if kept == "a" else wa), "a"
@@ -400,10 +404,18 @@ def _quotient_pair(kind: str) -> Tuple[XYABKind, XYABKind]:
 
 def quotient(kind: str, y: float, trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> float:
     """Y'/X' (kind "ZofXY") or B'/A' (kind "CofAB"), L'Hopital value at y = 1."""
-    top, bot = _quotient_pair(kind)
     if abs(y - 1.0) <= 1e-9:
+        top, bot = _quotient_pair(kind)
         return xyab(top, 1.0, 2, trunc) / xyab(bot, 1.0, 2, trunc)
-    return xyab(top, y, 1, trunc) / xyab(bot, y, 1, trunc)
+    return _quotient_jet(kind, y, trunc)[0]
+
+
+def _quotient_jet(kind: str, y: float, trunc: SeriesTruncation) -> Tuple[float, float]:
+    """The quotient N'/D' and its y-derivative from one order-2 jet of N and of D."""
+    top, bot = _quotient_pair(kind)
+    _, n1, n2 = _xyab_jet(top, y, 2, trunc, math)
+    _, d1, d2 = _xyab_jet(bot, y, 2, trunc, math)
+    return n1 / d1, (n2 * d1 - n1 * d2) / (d1 * d1)
 
 
 def quotient_derivative(
@@ -424,9 +436,7 @@ def quotient_derivative(
         p, dp = n2 + n3 * d / 2 + n4 * d * d / 6, n3 / 2 + n4 * d / 3
         r, dr = d2 + d3 * d / 2 + d4 * d * d / 6, d3 / 2 + d4 * d / 3
         return (dp * r - p * dr) / (r * r)
-    _, n1, n2 = _xyab_jet(top, y, 2, trunc, math)
-    _, d1, d2 = _xyab_jet(bot, y, 2, trunc, math)
-    return (n2 * d1 - n1 * d2) / (d1 * d1)
+    return _quotient_jet(kind, y, trunc)[1]
 
 
 @dataclass(frozen=True)

@@ -268,10 +268,10 @@ def solve_alpha0(trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> Alpha0Result:
     """Coupling below which the displaced hexagonal state beats the rhombic one
     (cached with the truncation as key: ``solve_alpha0.cache_info``/``cache_clear``).
 
-    Solves  theta(1; z0) + alpha J(z0; 1/3, 1/3) = E_rhombic(alpha)  on the
-    bracket [0.10, 0.24] down to a few ulps, by the Illinois false position
-    that also serves :func:`~latticetheta.functionals.solve_y_branch`; the
-    right-hand side is the optimal-lattice energy at displacement (1/2, 1/2).
+    Solves  theta(1; z0) + alpha J(z0; 1/3, 1/3) = E_rhombic(alpha)  (the
+    optimal-lattice energy at displacement (1/2, 1/2)) on [0.10, 0.24] down to
+    a few ulps by :func:`~latticetheta.functionals.solve_y_branch`'s root
+    finder: the gap has no slope, so it runs as plain Illinois false position.
     Also returns the first-order upper bound
 
         (theta(1; i) - theta(1; z0)) / (J(z0; 1/3, 1/3) - J(i; 1/2, 1/2)),
@@ -287,11 +287,11 @@ def _cached_alpha0(trunc: SeriesTruncation) -> Alpha0Result:
     t_hex = theta2d(1, HEXAGONAL_POINT, trunc)
     j_hex = j_eval(HEXAGONAL_POINT, third, trunc=trunc)
 
-    def gap(alpha: float) -> float:
-        return (t_hex + alpha * j_hex) - optimal_lattice(alpha, trunc).energy
+    def gap(alpha: float) -> Tuple[float, None]:
+        return (t_hex + alpha * j_hex) - optimal_lattice(alpha, trunc).energy, None
 
     lo, hi = 0.10, 0.24
-    glo, ghi = gap(lo), gap(hi)
+    (glo, _), (ghi, _) = gap(lo), gap(hi)
     if not glo * ghi < 0:
         raise ArithmeticError(
             f"alpha0 bracket failed: gap({lo}) = {glo:.3e}, gap({hi}) = {ghi:.3e}"

@@ -110,6 +110,24 @@ class TestEval:
         assert abs(float(row["dJ_da"])) < 1e-7
         assert abs(float(row["dJ_db"])) < 1e-7
 
+    def test_j_gradient_takes_both_partials_from_one_pass(self, capsys, monkeypatch):
+        """One order-0 and one order-1 lattice pass (the row is unchanged)."""
+        from latticetheta import cli, phase_diagram
+
+        calls = []
+        original = phase_diagram._lattice_sum
+        counted = lambda *args: calls.append(args[4]) or original(*args)
+        monkeypatch.setattr(phase_diagram, "_lattice_sum", counted)
+        monkeypatch.setattr(cli, "_lattice_sum", counted, raising=False)
+        code, out, _ = run(
+            capsys, "eval", "J", "--z", "0.3+1.4i", "--a", "0.3", "--b", "0.7", "--grad"
+        )
+        assert code == 0
+        assert sorted(calls) == [0, 1]
+        assert out.splitlines()[1] == (
+            "J,0.3,1.4,0.3,0.7,0.9357831606783011,-0.11783748405769376,1.263779890364409,1e-13"
+        )
+
     def test_e_mh_requires_alpha(self, capsys):
         code, _, err = run(capsys, "eval", "E_MH", "--z", "0+1i")
         assert code == 2

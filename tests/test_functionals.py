@@ -337,32 +337,30 @@ def test_branch_root_residuals(kind, cs, monkeypatch):
     offset = 0.0 if kind is W1 else 1.0
     th = thresholds(functionals.DEFAULT_TRUNCATION)  # the key solve_y_branch uses
     window = 2 * th.rho1 if kind is W1 else th.rho2
-    # building-block evaluations per solve; at the window's edge the residual
-    # is flat near y = 1, and false position needs about 15 steps there
-    budget = 30
     if cs == "window edge":
-        cs, budget = (window * (1 - 1e-6),), 40  # the root sits just above y = 1
+        cs = (window * (1 - 1e-6),)  # the root sits just above y = 1
     calls = []
-    counted = lambda *args, **kwargs: calls.append(args) or xyab(*args, **kwargs)
+    jet = functionals._xyab_jet
+    counted = lambda *args: calls.append(args) or jet(*args)
     for c in cs:
         calls.clear()
-        solve_y_branch.cache_clear()  # count a cold solve
+        solve_y_branch.cache_clear()  # count a cold solve, its root table included
         with monkeypatch.context() as m:
-            m.setattr(functionals, "xyab", counted)
+            m.setattr(functionals, "_xyab_jet", counted)
             y = solve_y_branch(kind, c)
-        assert len(calls) <= budget
+        assert len(calls) <= 30  # building-block jets per cold solve
         assert 1.0 < y <= SQRT3
         assert abs(quotient(qkind, y) + offset + c) <= 1e-12
 
 
 @pytest.mark.parametrize("kind,c_warm,c", [(W1, 0.02, 0.07), (W2, 0.3, 1.0)])
 def test_bracket_ends_are_evaluated_once_per_kind(kind, c_warm, c, monkeypatch):
-    """The quotient at 1 + 1e-9 and sqrt(3) does not depend on c: a solve after
-    the first skips those 4 building-block calls and finds the same root."""
+    """The quotient table, bracket ends included, does not depend on c: a solve
+    after the first skips its two jets per node and finds the same root."""
     thresholds(functionals.DEFAULT_TRUNCATION)  # the key solve_y_branch uses
     calls = []
-    counted = lambda *args, **kwargs: calls.append(args) or xyab(*args, **kwargs)
-    monkeypatch.setattr(functionals, "xyab", counted)
+    jet = functionals._xyab_jet
+    monkeypatch.setattr(functionals, "_xyab_jet", lambda *args: calls.append(args) or jet(*args))
     solve_y_branch.cache_clear()
     cold = solve_y_branch(kind, c)
     cold_calls = len(calls)
@@ -370,9 +368,27 @@ def test_bracket_ends_are_evaluated_once_per_kind(kind, c_warm, c, monkeypatch):
     solve_y_branch(kind, c_warm)
     calls.clear()
     warm = solve_y_branch(kind, c)
-    assert cold_calls - len(calls) == 4
+    assert cold_calls - len(calls) == 2 * len(functionals._U_NODES)
+    ends = [math.exp(math.sqrt(u)) for u in functionals._U_NODES[::8]]
+    assert ends == [1 + 1e-9, SQRT3]  # the table's ends are the bracket's, exactly
     assert warm == cold
     assert solve_y_branch.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+@pytest.mark.parametrize("kind", [W1, W2])
+def test_branch_root_near_the_window_edge(kind, k):
+    """At c = window (1 - 10^-k) the root is within the residual target, or,
+    where the quotient's noise exceeds it, the residual changes sign within
+    one ulp of the root (the solver's bracket was a few ulps wide)."""
+    qkind, offset = ("ZofXY", 0.0) if kind is W1 else ("CofAB", 1.0)
+    window = 2 * thresholds().rho1 if kind is W1 else thresholds().rho2
+    c = window * (1 - 10.0**-k)
+    y = solve_y_branch(kind, c)
+    assert 1.0 < y <= SQRT3
+    around = (math.nextafter(y, 0), y, math.nextafter(y, 2))
+    res = [quotient(qkind, t) + offset + c for t in around]
+    assert abs(res[1]) <= 1e-12 or min(res) < 0 < max(res)
 
 
 def test_branch_root_against_dense_scan():
