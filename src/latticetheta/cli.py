@@ -17,12 +17,14 @@ import io
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .functionals import (
     FunctionalKind,
     NoRootError,
+    TrajectoryPoint,
+    _band_edges,
     _thresholds,
     _w_value,
     minimizer,
@@ -159,28 +161,14 @@ def cmd_eval(args: argparse.Namespace) -> Tuple[List[Dict[str, Any]], int]:
     return [row], 0
 
 
-def _threshold_table(
-    rho1: float, rho2: float, sigma2b: float, alpha0: float, alpha1: float, alpha2: float
-) -> Dict[str, float]:
-    """The thresholds table: sigma1a = rho1, sigma1b = 1/rho2, sigma2a = rho2."""
-    names = "rho1 rho2 sigma1a sigma1b sigma2a sigma2b alpha0 alpha1 alpha2".split()
-    return dict(zip(names, (rho1, rho2, rho1, 1 / rho2, rho2, sigma2b, alpha0, alpha1, alpha2)))
-
-
 def cmd_thresholds(args: argparse.Namespace) -> Tuple[List[Dict[str, Any]], int]:
-    trunc = _truncation(args)
-    th = _thresholds(trunc, _context(args))
-    rho1, rho2 = th.rho1, th.rho2
-    # the band edges follow from the thresholds by the weight substitution
-    alpha1 = rho2 / (rho2 + 2)
-    alpha2 = 1 / (1 + 2 * rho1)
+    th = _thresholds(_truncation(args), _context(args))
     # the two-component balance solver always runs in double precision
     alpha0 = solve_alpha0(DEFAULT_TRUNCATION).alpha0
-    computed = _threshold_table(rho1, rho2, 1 / rho1, alpha0, alpha1, alpha2)
+    alpha1, alpha2 = _band_edges(th)
+    computed = dict(asdict(th), alpha0=alpha0, alpha1=alpha1, alpha2=alpha2)
     ref = STATED_VALUES
-    stated = _threshold_table(
-        ref["rho1"], ref["rho2"], ref["sigma2b"], ref["alpha0"], ref["alpha1"], ref["alpha2"]
-    )
+    stated = dict(ref, sigma1a=ref["rho1"], sigma1b=1 / ref["rho2"], sigma2a=ref["rho2"])
     rows = [
         {"name": name, "computed": value, "reference": stated[name], "delta": value - stated[name]}
         for name, value in computed.items()
@@ -198,28 +186,17 @@ def cmd_thresholds(args: argparse.Namespace) -> Tuple[List[Dict[str, Any]], int]
     return rows, code
 
 
-def _continuity_flags(points: List[HalfPlanePoint], rhos: List[float]) -> List[bool]:
-    """Flag steps whose jump exceeds 10x the neighbouring local slope bound.
+_BRANCHES = ("segment", "corner", "arc")  # the order the trajectory runs through
 
-    The trajectory steepens like sqrt(threshold - rho) into a branch change,
-    which grows adjacent step sizes by at most a factor ~2.4, so an honest
-    step stays within 10x the larger neighbouring slope; a teleporting bug
-    does not.
-    """
-    n = len(points)
-    flags = [True] * n
-    if n < 2:
-        return flags
-    slopes = []
-    for k in range(1, n):
-        dz = math.hypot(points[k].x - points[k - 1].x, points[k].y - points[k - 1].y)
-        drho = rhos[k] - rhos[k - 1]
-        slopes.append(dz / drho if drho > 0 else 0.0)
-    for k in range(1, n):
-        i = k - 1
-        neighbours = [slopes[j] for j in (i - 1, i + 1) if 0 <= j < len(slopes)]
-        local = max([1.0] + neighbours)
-        flags[k] = slopes[i] <= 10.0 * local
+
+def _continuity_flags(points: List[TrajectoryPoint]) -> List[bool]:
+    """Flag the rows that step back along the trajectory, rows sorted by weight:
+    to an earlier branch, up the segment (y rises) or back along the arc (x falls)."""
+    flags = [True] if points else []
+    for p, q in zip(points, points[1:]):
+        step = _BRANCHES.index(q.branch) - _BRANCHES.index(p.branch)
+        along = q.z.y <= p.z.y if q.branch == "segment" else q.z.x >= p.z.x
+        flags.append(step > 0 or step == 0 and along)
     return flags
 
 
@@ -231,7 +208,7 @@ def cmd_trajectory(args: argparse.Namespace) -> Tuple[List[Dict[str, Any]], int]
     default = "0:2" if kind is FunctionalKind.W1 else "0:30"
     rhos = sorted(parse_sweep(args.sweep or default))
     points = [minimizer(kind, rho, trunc) for rho in rhos]
-    flags = _continuity_flags([p.z for p in points], rhos)
+    flags = _continuity_flags(points)
     rows = [
         {
             "rho": rho,

@@ -23,7 +23,10 @@ quotients at y = 1:
     rho1 = -Y''(1) / (2 X''(1))        (W1 leaves the segment)
     rho2 = -1 - B''(1) / A''(1)        (W2 leaves the segment)
 
-and the four sigma thresholds of the trajectory theorems are
+One function, :func:`_quotient_jet`, gives each quotient and its slope at
+every y > 0, near y = 1 from an order-4 expansion whose value at 1 is the
+limit above; the root solver, the public quotients and the thresholds all
+read it.  The four sigma thresholds of the trajectory theorems are
 sigma_1a = rho1, sigma_1b = 1/rho2, sigma_2a = rho2, sigma_2b = 1/rho1.
 :func:`minimizer` assembles the full trajectory: segment for small rho,
 corner plateau at i, then the unit-circle arc obtained by the Cayley map
@@ -183,17 +186,14 @@ def xyab(
 
 
 def _quotient_thresholds(trunc: SeriesTruncation, ctx: Any) -> Tuple[float, float]:
-    """(rho1, rho2) = (-Y''(1)/(2 X''(1)), -1 - B''(1)/A''(1)) in binary64,
-    with the building blocks evaluated in ``ctx``."""
-    x2 = xyab(XYABKind.X, 1.0, 2, trunc, ctx)
-    y2 = xyab(XYABKind.Y, 1.0, 2, trunc, ctx)
-    a2 = xyab(XYABKind.A, 1.0, 2, trunc, ctx)
-    b2 = xyab(XYABKind.B, 1.0, 2, trunc, ctx)
-    return float(-y2 / (2 * x2)), float(-1 - b2 / a2)
+    """(rho1, rho2) = (-q_ZofXY(1)/2, -1 - q_CofAB(1)) in binary64, with the
+    quotients' L'Hopital values at y = 1 evaluated in ``ctx``."""
+    q_zofxy, q_cofab = (_quotient_jet(kind, 1.0, trunc, ctx)[0] for kind in ("ZofXY", "CofAB"))
+    return float(-q_zofxy / 2), float(-1 - q_cofab)
 
 
 def thresholds(trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> Thresholds:
-    """Quotient thresholds from the second derivatives at y = 1.
+    """Quotient thresholds from the quotients' limits at y = 1.
 
     rho1 = -Y''(1)/(2 X''(1)) and rho2 = -1 - B''(1)/A''(1); the sigma fields
     are filled by the reciprocal relations of the trajectory theorems.  The
@@ -204,17 +204,15 @@ def thresholds(trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> Thresholds:
     return _thresholds(trunc, math)
 
 
+def _band_edges(th: Thresholds) -> Tuple[float, float]:
+    """(alpha1, alpha2) = (1/(1 + 2 sigma_1b), 1/(1 + 2 sigma_1a)) for the thresholds ``th``."""
+    return 1 / (1 + 2 * th.sigma1b), 1 / (1 + 2 * th.sigma1a)
+
+
 @_cached(thresholds)
 def _thresholds(trunc: SeriesTruncation, ctx: Any) -> Thresholds:
     rho1, rho2 = _quotient_thresholds(trunc, ctx)
-    return Thresholds(
-        rho1=rho1,
-        rho2=rho2,
-        sigma1a=rho1,
-        sigma1b=1 / rho2,
-        sigma2a=rho2,
-        sigma2b=1 / rho1,
-    )
+    return Thresholds(rho1, rho2, rho1, 1 / rho2, rho2, 1 / rho1)  # the sigmas by reciprocity
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +299,6 @@ def solve_y_branch(
             f"{_branch_window(kind, trunc):.12f}; no segment root exists"
         )
 
-    # every node and iterate lies above 1 + 1e-9, clear of quotient's L'Hopital branch
     qkind, offset = ("ZofXY", 0.0) if kind is FunctionalKind.W1 else ("CofAB", 1.0)
     def f(u: float) -> Tuple[float, float]:  # the residual and its slope in u
         q, dq = _quotient_jet(qkind, y := math.exp(t := math.sqrt(u)), trunc)
@@ -403,39 +400,37 @@ def _quotient_pair(kind: str) -> Tuple[XYABKind, XYABKind]:
 
 
 def quotient(kind: str, y: float, trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> float:
-    """Y'/X' (kind "ZofXY") or B'/A' (kind "CofAB"), L'Hopital value at y = 1."""
-    if abs(y - 1.0) <= 1e-9:
-        top, bot = _quotient_pair(kind)
-        return xyab(top, 1.0, 2, trunc) / xyab(bot, 1.0, 2, trunc)
+    """Y'/X' (kind "ZofXY") or B'/A' (kind "CofAB"), the L'Hopital value at y = 1."""
     return _quotient_jet(kind, y, trunc)[0]
 
 
-def _quotient_jet(kind: str, y: float, trunc: SeriesTruncation) -> Tuple[float, float]:
-    """The quotient N'/D' and its y-derivative from one order-2 jet of N and of D."""
-    top, bot = _quotient_pair(kind)
-    _, n1, n2 = _xyab_jet(top, y, 2, trunc, math)
-    _, d1, d2 = _xyab_jet(bot, y, 2, trunc, math)
-    return n1 / d1, (n2 * d1 - n1 * d2) / (d1 * d1)
+def _quotient_jet(
+    kind: str, y: float, trunc: SeriesTruncation, ctx: Any = math
+) -> Tuple[float, float]:
+    """The quotient N'/D' (N, D = Y, X or B, A) and its y-derivative, at every y > 0.
 
-
-def quotient_derivative(
-    kind: str, y: float, trunc: SeriesTruncation = DEFAULT_TRUNCATION
-) -> float:
-    """d/dy of the quotient N'/D' (N, D = Y, X or B, A).
-
-    N' and D' vanish at y = 1, where the generic formula loses its digits to
-    rounding, so within ``_EXPANSION_RADIUS`` of 1 (both forms err by about
-    1e-4 there) N' = d P(d) and D' = d R(d), d = y - 1, are expanded to
-    P = N2 + N3 d/2 + N4 d^2/6 (Nk the k-th derivative at 1, R alike) and the
-    derivative is (P' R - P R')/R^2, the L'Hopital form at d = 0."""
+    N' and D' vanish at y = 1, where the generic forms lose their digits to
+    rounding, so within ``_EXPANSION_RADIUS`` of 1 N' = d P(d) and D' = d R(d),
+    d = y - 1, are expanded to P = N2 + N3 d/2 + N4 d^2/6 (Nk the k-th
+    derivative at 1, R alike): the quotient is P/R and its derivative
+    (P' R - P R')/R^2, the L'Hopital forms at d = 0.  Elsewhere both come from
+    one order-2 jet of N and one of D."""
     top, bot = _quotient_pair(kind)
     d = y - 1.0
     if abs(d) <= _EXPANSION_RADIUS:
-        _, _, n2, n3, n4 = _xyab_jet(top, 1.0, 4, trunc, math)
-        _, _, d2, d3, d4 = _xyab_jet(bot, 1.0, 4, trunc, math)
+        _, _, n2, n3, n4 = _xyab_jet(top, 1.0, 4, trunc, ctx)
+        _, _, d2, d3, d4 = _xyab_jet(bot, 1.0, 4, trunc, ctx)
         p, dp = n2 + n3 * d / 2 + n4 * d * d / 6, n3 / 2 + n4 * d / 3
         r, dr = d2 + d3 * d / 2 + d4 * d * d / 6, d3 / 2 + d4 * d / 3
-        return (dp * r - p * dr) / (r * r)
+        return p / r, (dp * r - p * dr) / (r * r)
+    _, n1, n2 = _xyab_jet(top, y, 2, trunc, ctx)
+    _, d1, d2 = _xyab_jet(bot, y, 2, trunc, ctx)
+    return n1 / d1, (n2 * d1 - n1 * d2) / (d1 * d1)
+
+
+def quotient_derivative(kind: str, y: float, trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> float:
+    """d/dy of the quotient N'/D' (N, D = Y, X or B, A): the second value of
+    :func:`_quotient_jet`."""
     return _quotient_jet(kind, y, trunc)[1]
 
 

@@ -32,7 +32,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
-from .functionals import FunctionalKind, _bracketed_root, _w_parts, minimizer, thresholds
+from .functionals import (
+    FunctionalKind, _band_edges, _bracketed_root, _w_parts, minimizer, thresholds
+)
 from .kernels import (
     DEFAULT_TRUNCATION,
     DomainError,
@@ -200,8 +202,7 @@ def _half_half_energy(alpha: float, z: HalfPlanePoint, trunc: SeriesTruncation) 
 
 def alpha_thresholds(trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> Tuple[float, float]:
     """(alpha1, alpha2): band edges of the square phase, from the thresholds."""
-    th = thresholds(trunc)
-    return 1 / (1 + 2 * th.sigma1b), 1 / (1 + 2 * th.sigma1a)
+    return _band_edges(thresholds(trunc))
 
 
 def optimal_lattice(
@@ -326,12 +327,12 @@ class CriticalPointReport:
 
     def find(self, a: float, b: float, tol: float = 1e-6) -> Optional[CriticalPoint]:
         """The report entry within torus distance tol of (a, b), if any."""
-        for p in self.points:
-            da = min(abs(p.d.a - a % 1), 1 - abs(p.d.a - a % 1))
-            db = min(abs(p.d.b - b % 1), 1 - abs(p.d.b - b % 1))
-            if math.hypot(da, db) <= tol:
-                return p
-        return None
+        return next((p for p in self.points if _torus_distance(p.d.a, p.d.b, a, b) <= tol), None)
+
+
+def _torus_distance(a: float, b: float, a2: float, b2: float) -> float:
+    da, db = abs(a % 1 - a2 % 1), abs(b % 1 - b2 % 1)
+    return math.hypot(min(da, 1 - da), min(db, 1 - db))
 
 
 def _newton(table, a, b, refine_tol):
@@ -369,9 +370,10 @@ def critical_census(
     the four universal points are seeded unconditionally.  Classification is
     by the sign of the Hessian determinant (and of J_aa when it is positive); a
     Newton run that stalls above ``refine_tol`` (0 < refine_tol < inf) is
-    reported as "degenerate" with its achieved residual.  Points within 1e-6
-    are one; they are sorted torus representatives, with both of each pair
-    (a, b), (1-a, 1-b).
+    reported as "degenerate" with its achieved residual.  Runs within 1e-6
+    are one point, reported and classified at the run with the least residual,
+    save the universal points, which stay at their exact seeds; points are
+    sorted torus representatives, with both of each pair (a, b), (1-a, 1-b).
     """
     if grid_n < 32:
         raise DomainError(f"census grid must have at least 32 points, got {grid_n}")
@@ -390,12 +392,18 @@ def critical_census(
             if min(ca) < 0 < max(ca) and min(cb) < 0 < max(cb):
                 seeds.append(((i + 0.5) / grid_n, (j + 0.5) / grid_n))
 
-    points = []
+    runs = []  # (a, b, res, ok) of the best Newton run at each point
     for a0, b0 in seeds:
         a, b, res, ok = _newton(table, a0, b0, refine_tol)
-        spurious = not ok and res > 1e-5  # the cell's sign change had no nearby zero
-        if spurious or CriticalPointReport(tuple(points), len(points)).find(a, b):
+        if not ok and res > 1e-5:  # the cell's sign change had no nearby zero
             continue
+        same = [k for k, r in enumerate(runs) if _torus_distance(r[0], r[1], a, b) <= 1e-6]
+        if not same:
+            runs.append((a, b, res, ok))
+        elif same[0] >= len(UNIVERSAL_POINTS) and res < runs[same[0]][2]:
+            runs[same[0]] = (a, b, res, ok)  # runs[:4] are the universal points, exact
+    points = []
+    for a, b, res, ok in runs:
         _, _, haa, hab, hbb = _table_partials(table, a, b)
         det = haa * hbb - hab * hab
         if not ok or abs(det) <= 1e-10:

@@ -242,6 +242,17 @@ class TestThresholds:
             0.925649697403935529, abs=1e-15
         )
 
+    def test_band_edges_match_the_library_and_the_verify_suite(self, capsys):
+        from latticetheta.phase_diagram import alpha_thresholds
+
+        by = {r["name"]: r for r in rows_of(run(capsys, "thresholds")[1])}
+        assert (float(by["alpha1"]["computed"]), float(by["alpha2"]["computed"])) == (
+            alpha_thresholds()
+        )
+        checks = {r["name"]: r for r in rows_of(run(capsys, "verify", "thresholds")[1])}
+        assert checks["alpha1"]["computed"] == by["alpha1"]["computed"]
+        assert checks["alpha2"]["computed"] == by["alpha2"]["computed"]
+
     def test_second_extended_table_is_read_from_the_cache(self, capsys, monkeypatch):
         from latticetheta import functionals
 
@@ -291,17 +302,21 @@ class TestTrajectory:
         assert {r["branch"] for r in rows} == {"segment", "corner", "arc"}
 
     def test_continuity_flag_catches_a_teleport(self):
-        from latticetheta import HalfPlanePoint
         from latticetheta.cli import _continuity_flags
+        from latticetheta.functionals import FunctionalKind, minimizer
 
-        rhos = [0.01 * k for k in range(10)]
-        points = [HalfPlanePoint(0.0, 1.0 + 0.001 * k) for k in range(10)]
-        assert all(_continuity_flags(points, rhos))
-        # a mis-glued branch jumps once and stays displaced
-        shifted = points[:6] + [HalfPlanePoint(p.x + 0.45, p.y - 0.1) for p in points[6:]]
-        flags = _continuity_flags(shifted, rhos)
-        assert not flags[6]
-        assert all(flags[:6]) and all(flags[7:])
+        rhos = [0.0, 0.01, 0.02, 0.03, 0.1, 0.5, 0.9, 1.2, 1.5, 2.0]
+        points = [minimizer(FunctionalKind.W1, rho) for rho in rhos]
+        assert [p.branch for p in points] == ["segment"] * 4 + ["corner"] * 2 + ["arc"] * 4
+        assert all(_continuity_flags(points))  # equal corner rows included
+        # a mis-glued branch steps back to an earlier branch once, then goes on
+        flags = _continuity_flags(points[:7] + [points[2]] + points[8:])
+        assert flags == [True] * 7 + [False] + [True] * 2
+        # a step up the segment, and one back along the arc
+        flags = _continuity_flags(points[:1] + [points[2], points[1]] + points[3:])
+        assert flags == [True] * 2 + [False] + [True] * 7
+        flags = _continuity_flags(points[:7] + [points[8], points[7]] + points[9:])
+        assert flags == [True] * 8 + [False] + [True]
 
     def test_plateau_rows_share_one_corner_evaluation(self, capsys, monkeypatch):
         """Every W2 row with rho in [rho2, 1/rho1] sits at i; the table's

@@ -611,6 +611,33 @@ def test_quotient_derivative_near_one_matches_mpmath(dy):
         assert quotient_derivative(kind, y) == pytest.approx(ref, rel=1e-3)
 
 
+@pytest.mark.parametrize("dy", [1e-9, 1e-7, 1e-5, -1e-5])
+def test_quotient_near_one_matches_mpmath(dy):
+    """Within the expansion radius the quotient is read from the order-4
+    expansion at y = 1, not from N'/D' where both nearly vanish."""
+    th = lambda k, t: mp.jtheta(k, 0, mp.exp(-mp.pi * t))
+    blocks = {
+        "ZofXY": (
+            lambda t: 2 * (th(3, 4 * t) * th(3, 4 / t) + th(2, 4 * t) * th(2, 4 / t)),
+            lambda t: th(3, t) * th(3, 1 / t),
+        ),
+        "CofAB": (
+            lambda t: th(2, 2 * t) * th(2, 2 / t),
+            lambda t: th(3, 2 * t) * th(3, 2 / t),
+        ),
+    }
+    y = 1 + dy
+    for kind, (num, den) in blocks.items():
+        with mp.workdps(40):
+            ym = mp.mpf(y)
+            ref = float(mp.diff(num, ym, 1) / mp.diff(den, ym, 1))
+        assert quotient(kind, y) == pytest.approx(ref, rel=1e-13, abs=0)
+
+
+def test_rho2_from_the_expansion_matches_40_digits():
+    assert thresholds().rho2 == pytest.approx(RHO2, rel=1e-15, abs=0)
+
+
 @pytest.mark.parametrize("kind,passes", [("ZofXY", 6), ("CofAB", 4)])
 @pytest.mark.parametrize("y,order", [(1.4, 2), (0.6, 2), (1 + 1e-5, 4), (1.0, 4)])
 def test_quotient_derivative_takes_each_block_from_one_jet(kind, passes, y, order, monkeypatch):

@@ -528,6 +528,24 @@ class TestCriticalCensus:
             expected = "saddle" if det < 0 else ("max" if haa < 0 else "min")
             assert p.kind == expected, p
 
+    def test_each_point_is_reported_from_its_best_newton_run(self, monkeypatch):
+        # here the first runs to reach the two minima stop at residuals of
+        # 3.8e-11 and 3.2e-12, while later runs merged with them reach 1e-16
+        runs = []
+        original = phase_diagram._newton
+        monkeypatch.setattr(
+            phase_diagram, "_newton", lambda *args: runs.append(original(*args)) or runs[-1]
+        )
+        report = critical_census(HalfPlanePoint(0.4394, 0.9162), grid_n=32)
+        universal = set(UNIVERSAL_POINTS.values())
+        assert {p.d for p in report.points} >= universal  # exact, whatever later runs reach
+        minima = [p for p in report.points if p.d not in universal]
+        assert [p.kind for p in minima] == ["min", "min"]
+        for p in minima:
+            merged = [r for r in runs if CriticalPointReport((p,), 1).find(r[0], r[1])]
+            assert len(merged) > 1 and p.residual == min(r[2] for r in merged), p
+            assert p.residual <= 1e-15, p
+
     @pytest.mark.parametrize("refine_tol", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_refine_tol(self, refine_tol):
         with pytest.raises(DomainError):
