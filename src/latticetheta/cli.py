@@ -145,7 +145,7 @@ def cmd_eval(args: argparse.Namespace) -> Tuple[List[Dict[str, Any]], int]:
         row.update(x=z.x, y=z.y, a=args.a, b=args.b)
         row["value"] = j_eval(z, d, trunc=trunc)
         if args.grad:
-            row["dJ_da"], row["dJ_db"] = _lattice_sum(1, z, d.a, d.b, 1, trunc, math)
+            row["dJ_da"], row["dJ_db"] = _lattice_sum(1, z, ((d.a, d.b),), 1, trunc, math)[0]
     elif args.expr == "E_MH":
         if args.precision == "extended":
             raise UsageError("extended precision is not available for E_MH")

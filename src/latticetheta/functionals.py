@@ -48,8 +48,7 @@ from .kernels import (
     SeriesTruncation,
     _cached,
     _jacobi_jet,
-    theta2d,
-    theta2d_shifted,
+    _sublattice_pair,
 )
 
 __all__ = [
@@ -225,46 +224,36 @@ def w_eval(
     z: HalfPlanePoint,
     trunc: SeriesTruncation = DEFAULT_TRUNCATION,
 ) -> float:
-    """W1,rho(z) = theta(2;(z+1)/2) + rho theta(1;z), and the W2 companion.
+    """W1,rho(z) = theta(2;(z+1)/2) + rho theta(1;z), and the W2 companion
+    W2,rho(z) = theta(1;(z+1)/2) + rho theta(2;z), each one lattice pass at z
+    (:func:`_w_value`; W2's plain term by the duality theta(2; z) = theta(1/2; z)/2).
 
-    The rho-free thetas at the corner z = i are cached, keyed on the
-    truncation plus the precision of the backend the CLI's extended ``eval``
-    passes (``w_eval.cache_info``/``cache_clear``)."""
+    The rho-free thetas at the corner z = i are cached, keyed on the truncation plus
+    the precision of the backend the CLI's extended ``eval`` passes
+    (``w_eval.cache_info``/``cache_clear``)."""
     return _w_value(kind, rho, z, trunc, math)
 
 
 def _w_value(
     kind: FunctionalKind, rho: float, z: HalfPlanePoint, trunc: SeriesTruncation, ctx: Any
 ) -> float:
-    """:func:`w_eval` in the arithmetic of ``ctx`` (the CLI's extended precision)."""
+    """:func:`w_eval` in the arithmetic of ``ctx`` (the CLI's extended precision): W =
+    shifted + rho * plain with the rho-free thetas theta(2s;(z+1)/2) and theta(1/s;z) at
+    s = 1 (W1) and s = 1/2 (W2), both from the pass at s over z (theta(1/s; z) = s
+    theta(s; z)).  The corner z = i (x = +0.0 exactly) is read from a cache."""
     if not rho >= 0:
         raise DomainError(f"w_eval needs rho >= 0, got {rho}")
-    shifted, plain = _w_parts(kind, z, trunc, ctx)
-    return shifted + rho * plain
-
-
-def _w_parts(
-    kind: FunctionalKind, z: HalfPlanePoint, trunc: SeriesTruncation, ctx: Any
-) -> Tuple[float, float]:
-    """The rho-free thetas of W = shifted + rho * plain: theta(2;(z+1)/2) and
-    theta(1;z) for W1, theta(1;(z+1)/2) and theta(2;z) for W2.  The corner
-    z = i (x = +0.0 exactly) is read from a cache per truncation and precision."""
-    if kind is FunctionalKind.W1:
-        s_shift, s_plain = 2, 1
-    elif kind is FunctionalKind.W2:
-        s_shift, s_plain = 1, 2
-    else:
+    if kind not in (FunctionalKind.W1, FunctionalKind.W2):
         raise DomainError(f"unknown functional {kind!r}")
-    if z.x == 0.0 and z.y == 1.0 and math.copysign(1.0, z.x) > 0:
-        return _corner_parts(s_shift, s_plain, trunc, ctx)
-    return theta2d_shifted(s_shift, z, trunc, ctx), theta2d(s_plain, z, trunc, ctx)
+    s = 1 if kind is FunctionalKind.W1 else 0.5
+    corner = z.x == 0.0 and z.y == 1.0 and math.copysign(1.0, z.x) > 0
+    shifted, plain = _corner_parts(s, trunc, ctx) if corner else _sublattice_pair(s, z, trunc, ctx)
+    return shifted + rho * (s * plain)
 
 
 @_cached(w_eval)
-def _corner_parts(
-    s_shift: int, s_plain: int, trunc: SeriesTruncation, ctx: Any
-) -> Tuple[float, float]:
-    return theta2d_shifted(s_shift, _CORNER, trunc, ctx), theta2d(s_plain, _CORNER, trunc, ctx)
+def _corner_parts(s: float, trunc: SeriesTruncation, ctx: Any) -> Tuple[float, float]:
+    return _sublattice_pair(s, _CORNER, trunc, ctx)
 
 
 def _branch_window(kind: FunctionalKind, trunc: SeriesTruncation) -> float:

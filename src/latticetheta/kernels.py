@@ -12,11 +12,14 @@ This module is the numerical foundation of the package.  It evaluates
   through one kernel for ``J(s; z; a, b) = sum e^{-s pi |m z - n|^2 / y}
   e^{2 pi i (m a + n b)}``, which is ``theta2d`` at ``a = b = 0`` and J of
   :mod:`phase_diagram` at ``s = 1``: reduce ``z`` into the fundamental domain by
-  a Gauss loop on integers, carry the displacement through its matrix, and sum
+  a Gauss loop on integers, carry the displacements through its matrix, and sum
   the Poisson-summed series on an ellipse certified by a closed-form Gaussian
   bound (the genus-1 case of Deconinck et al., "Computing Riemann theta
-  functions", Math. Comp. 73 (2004)); for the critical-point census, one
-  certified table of J's terms serves every displacement and grid.
+  functions", Math. Comp. 73 (2004)), one pass for all displacements; for the
+  critical-point census, one certified table of J's terms serves every
+  displacement and grid.  The shifted theta is the index-2 sublattice sum
+  ``theta(s; (z+1)/2) = [theta(s/2; z) + J(s/2; z; 1/2, 1/2)] / 2`` from one
+  pass at ``z``; each term's tail is at most the tolerance, so the half sum's is.
 
 Every series is truncated only once a bound certifies the discarded tail
 below the requested tolerance; ``tail_bound`` exposes the bounds themselves,
@@ -369,24 +372,26 @@ def _least_r2(tail, r2: float, r2_cap: float, trunc: SeriesTruncation, what) -> 
 
 
 def _lattice_sum(
-    s: float, z: HalfPlanePoint, a: float, b: float, order: int, trunc: SeriesTruncation, ctx: Any
-) -> tuple:
-    """The partials of total ``order`` (0..2), by ``b``-order, of
+    s: float, z: HalfPlanePoint, shifts: tuple, order: int, trunc: SeriesTruncation, ctx: Any
+) -> list:
+    """For each displacement ``(a, b)`` of ``shifts``, the partials of total ``order``
+    (0..2), by ``b``-order, of
 
         J(s; z; a, b) = sum_{(m,n) in Z^2} e^{-s pi |m z - n|^2 / y} e^{2 pi i (m a + n b)}.
 
     It is ``F(s; z'; L (a, b))`` of :func:`_reduce_point` (so ``y >= sqrt(3)/2`` bounds
     the terms), whose ``n``-sum is Poisson-summed on the smallest ellipse
-    :func:`_lattice_tail` certifies, and ``m < 0`` adds the conjugates of ``m > 0``
-    (binary64 forms each term directly; another backend forms ``L (a, b)`` in its own
-    precision and each row's Gaussians and phases by recurrence):
+    :func:`_lattice_tail` certifies, and ``m < 0`` adds the conjugates of ``m > 0``:
 
         F(s; z; a, b) = sqrt(y/s) sum_{m, d in b + Z} e^{-s pi y m^2 - pi y d^2/s} e^{2 pi i m (a - x d)}
+
+    One reduction, one ellipse (the bound does not read ``(a, b)``) and one row loop serve
+    all displacements.  Binary64 adds each term to its row's sums in index order; another
+    backend forms ``L (a, b)`` in its own precision, and the Gaussians and each row's
+    phases by recurrence.
     """
     xr, yr, L = _reduce_point(z, ctx)
     l0, l1, l2, l3 = L
-    a, b = (a, b) if ctx is math else (ctx.mpf(a), ctx.mpf(b))  # L mixes them in the backend
-    ar, br = l0 * a + l1 * b, l2 * a + l3 * b
     sf, xf, yf = float(s), float(xr), float(yr)
     alpha, beta = sf * math.pi * yf, math.pi * yf / sf
 
@@ -397,62 +402,70 @@ def _lattice_sum(
     tail = lambda r2: _lattice_tail(r2, sf, xf, yf, order, L)
     r2 = _least_r2(tail, start, r2_cap, trunc, lambda: f"lattice sum (s={s}, z=({z.x}, {z.y}))")
 
-    # Row m keeps |d| <= sqrt((r2 - alpha m^2) / beta).  A term's partials in
-    # a and b carry i U and -(P + i V) (U = 2 pi m, V = U x, P = h d, h = 2 pi y/s,
-    # d/db P = h): a row needs only sum g d^p cos(phi) and sum g d^p sin(phi).
-    pi, exp, cos, sin = ctx.pi, ctx.exp, ctx.cos, ctx.sin
-    t = br - math.floor(float(br) + 0.5)
-    reach = math.sqrt(r2 / beta)
-    j0 = math.ceil(-reach - float(t))
-    ds = [t + j for j in range(j0, math.floor(reach - float(t)) + 1)]
-    h = 2 * pi * yr / s
-    if ctx is math:
-        gd = [[exp(-pi * yr * d * d / s) for d in ds]]
-    else:  # e^{-h (d + 1)^2 / 2} = e^{-h d^2 / 2} r, r = e^{-h (d + 1/2)}, and r gains e^{-h}
-        rs = accumulate(repeat(exp(-h), len(ds)), mul, initial=exp(-h * (t + j0 + 0.5)))
-        gd = [list(accumulate(rs, mul, initial=exp(-h * (t + j0) ** 2 / 2)))[: len(ds)]]
-    for _ in range(order):
-        gd.append([w * d for w, d in zip(gd[-1], ds)])
-    sums = [0] * (order + 1)
+    # Row m keeps |d| <= sqrt((r2 - alpha m^2) / beta).  A term's partials in a and b
+    # carry i U and -(P + i V) (U = 2 pi m, V = U x, P = h d, h = 2 pi y/s, d/db P = h):
+    # a row needs only its moments sum g d^p cos(phi), or sin(phi) where p + order is odd.
+    pi, exp, cos, sin, ceil, floor = ctx.pi, ctx.exp, ctx.cos, ctx.sin, math.ceil, math.floor
+    h, reach, grids = 2 * pi * yr / s, math.sqrt(r2 / beta), []
+    for a, b in shifts:
+        a, b = (a, b) if ctx is math else (ctx.mpf(a), ctx.mpf(b))  # L mixes them in the backend
+        ar, br = l0 * a + l1 * b, l2 * a + l3 * b
+        t = br - floor(float(br) + 0.5)
+        j0 = ceil(-reach - float(t))
+        ds = [t + j for j in range(j0, floor(reach - float(t)) + 1)]
+        if ctx is math:
+            gd = [[exp(-pi * yr * d * d / s) for d in ds]]
+        else:  # e^{-h (d + 1)^2 / 2} = e^{-h d^2 / 2} r, r = e^{-h (d + 1/2)}, r gains e^{-h}
+            rs = accumulate(repeat(exp(-h), len(ds)), mul, initial=exp(-h * (t + j0 + 0.5)))
+            gd = [list(accumulate(rs, mul, initial=exp(-h * (t + j0) ** 2 / 2)))[: len(ds)]]
+        for _ in range(order):
+            gd.append([w * d for w, d in zip(gd[-1], ds)])
+        grids.append((ar, t, float(t), j0, ds, gd, [0] * (order + 1)))  # and its sums by b'-order
+    q = -s * pi * yr
     for m in range(int(math.sqrt(r2 / alpha)) + 1):
-        reach = math.sqrt((r2 - alpha * m * m) / beta)
-        lo, hi = math.ceil(-reach - float(t)) - j0, math.floor(reach - float(t)) - j0 + 1
-        U, V = 2 * pi * m, 2 * pi * m * xr
-        if not m:  # row 0 has phase 0
-            cs, ss = [1] * (hi - lo), [0] * (hi - lo)
-        elif ctx is math:
-            phis = [U * (ar - xr * d) for d in ds[lo:hi]]
-            cs, ss = list(map(cos, phis)), list(map(sin, phis)) if order else None
-        else:  # phi0 + j delta along the row: f_{j+1} = k f_j - f_{j-1}, k = 2 cos(delta)
-            phi, delta = U * (ar - xr * (t + (j0 + lo))), -U * xr
-            k, runs = 2 * cos(delta), [[f(phi), f(phi + delta)] for f in (cos, sin)[: order + 1]]
-            for run, _ in product(runs, range(hi - lo - 2)):
-                run.append(k * run[-1] - run[-2])
-            cs, ss = runs[0], runs[-1]  # each moment zips a run with the row's Gaussians
-        moment = lambda p, trig: sum(map(mul, gd[p][lo:hi], trig))
-        if order == 0:
-            row = (moment(0, cs),)
-        elif order == 1:
-            s0 = moment(0, ss)
-            row = (-U * s0, V * s0 - h * moment(1, cs))
-        else:
-            c0, s1 = moment(0, cs), moment(1, ss)
-            c2 = h * h * moment(2, cs) - (V * V + h) * c0 - 2 * h * V * s1
-            row = (-U * U * c0, U * (V * c0 + h * s1), c2)
-        weight = (2 if m else 1) * exp(-s * pi * yr * m * m)
-        sums = [acc + weight * r for acc, r in zip(sums, row)]
-    G = [ctx.sqrt(yr / s) * v for v in sums]
+        rm = math.sqrt((r2 - alpha * m * m) / beta)
+        U, V, weight = 2 * pi * m, 2 * pi * m * xr, (2 if m else 1) * exp(q * m * m)
+        for ar, t, tf, j0, ds, gd, acc in grids:
+            lo, hi = ceil(-rm - tf) - j0, floor(rm - tf) - j0 + 1
+            if not m:  # row 0 has phase 0
+                M = [0.0 if (p + order) % 2 else sum(g[lo:hi]) for p, g in enumerate(gd)]
+            elif ctx is not math:  # phi0 + j delta along the row: f_{j+1} = k f_j - f_{j-1}
+                phi, delta = U * (ar - xr * (t + (j0 + lo))), -U * xr
+                k = 2 * cos(delta)
+                runs = [[f(phi), f(phi + delta)] for f in (cos, sin)[: order + 1]]
+                for run, _ in product(runs, range(hi - lo - 2)):
+                    run.append(k * run[-1] - run[-2])
+                M = [ctx.fdot(g[lo:hi], runs[-((p + order) % 2)]) for p, g in enumerate(gd)]
+            elif not order:
+                c0, g0 = 0.0, gd[0]
+                for j in range(lo, hi):
+                    c0 += g0[j] * cos(U * (ar - xr * ds[j]))
+                M = (c0,)
+            else:
+                phis = [U * (ar - xr * d) for d in ds[lo:hi]]
+                runs = [list(map(cos, phis)), list(map(sin, phis))]
+                M = [sum(map(mul, g[lo:hi], runs[(p + order) % 2])) for p, g in enumerate(gd)]
+            if order == 1:
+                M = -U * M[0], V * M[0] - h * M[1]
+            elif order == 2:
+                c0, s1, c2 = M
+                c2 = h * h * c2 - (V * V + h) * c0 - 2 * h * V * s1
+                M = -U * U * c0, U * (V * c0 + h * s1), c2
+            for p, r in enumerate(M):
+                acc[p] += weight * r
 
     # chain rule back to (a, b): d/da = l0 d/da' + l2 d/db', d/db = l1 d/da' + l3 d/db'
-    if order == 0:
-        return (G[0],)
-    if order == 1:
-        return (l0 * G[0] + l2 * G[1], l1 * G[0] + l3 * G[1])
-    return (
-        l0 * l0 * G[0] + 2 * l0 * l2 * G[1] + l2 * l2 * G[2],
-        l0 * l1 * G[0] + (l0 * l3 + l1 * l2) * G[1] + l2 * l3 * G[2],
-        l1 * l1 * G[0] + 2 * l1 * l3 * G[1] + l3 * l3 * G[2],
-    )
+    root, out = ctx.sqrt(yr / s), []
+    for *_, acc in grids:
+        G = [root * v for v in acc]
+        if order == 1:
+            G = l0 * G[0] + l2 * G[1], l1 * G[0] + l3 * G[1]
+        elif order == 2:
+            G = (l0 * l0 * G[0] + 2 * l0 * l2 * G[1] + l2 * l2 * G[2],
+                 l0 * l1 * G[0] + (l0 * l3 + l1 * l2) * G[1] + l2 * l3 * G[2],
+                 l1 * l1 * G[0] + 2 * l1 * l3 * G[1] + l3 * l3 * G[2])
+        out.append(tuple(G))
+    return out
 
 
 def _table_tail(r2: float, x: float, y: float, L: tuple) -> float:
@@ -530,7 +543,7 @@ def theta2d(
     kernel (the sum is invariant under SL(2, Z))."""
     if not s > 0:
         raise DomainError(f"theta2d needs s > 0, got {s}")
-    return _lattice_sum(s, z, 0, 0, 0, trunc, ctx)[0]
+    return _lattice_sum(s, z, ((0, 0),), 0, trunc, ctx)[0][0]
 
 
 def theta2d_shifted(
@@ -541,12 +554,19 @@ def theta2d_shifted(
 ) -> float:
     """``theta(s; (z+1)/2)`` — the midpoint-shifted lattice theta.
 
-    ``(z+1)/2`` stays in the upper half-plane (its height is ``y/2``), so the
-    plain engine applies after the substitution; no bespoke half-integer sum
-    is needed.
-    """
-    one = ctx.exp(0)  # forms (x + 1)/2 in the backend
-    return theta2d(s, HalfPlanePoint((one * z.x + 1) / 2, one * z.y / 2), trunc, ctx)
+    The lattice of ``(z+1)/2``, scaled by ``sqrt 2``, is the sublattice ``m + n`` even
+    of that of ``z``: ``theta(s; (z+1)/2) = [theta(s/2; z) + J(s/2; z; 1/2, 1/2)] / 2``,
+    from one lattice pass at ``z``.  Each term's certified tail is at most
+    ``trunc.tail_tol``, so the half sum's is too."""
+    if not s > 0:
+        raise DomainError(f"theta2d_shifted needs s > 0, got {s}")
+    return _sublattice_pair(s / 2, z, trunc, ctx)[0]
+
+
+def _sublattice_pair(s, z: HalfPlanePoint, trunc: SeriesTruncation, ctx: Any) -> tuple:
+    """``theta(2s; (z+1)/2)`` and ``theta(s; z)`` from one lattice pass at ``z``."""
+    (plain,), (half,) = _lattice_sum(s, z, ((0, 0), (0.5, 0.5)), 0, trunc, ctx)
+    return (plain + half) / 2, plain
 
 
 def tail_bound(kind: str, N: int, **params: float) -> float:

@@ -32,9 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
-from .functionals import (
-    FunctionalKind, _band_edges, _bracketed_root, _w_parts, minimizer, thresholds
-)
+from .functionals import FunctionalKind, _band_edges, _bracketed_root, minimizer, thresholds
 from .kernels import (
     DEFAULT_TRUNCATION,
     DomainError,
@@ -46,7 +44,6 @@ from .kernels import (
     _table_grid,
     _table_partials,
     _torus_table,
-    theta2d,
 )
 
 __all__ = [
@@ -112,7 +109,7 @@ def j_eval(
         raise DomainError("displacement derivative orders must be 0, 1 or 2")
     if da_order + db_order > 2:
         raise DomainError("total displacement derivative order must be at most 2")
-    return _lattice_sum(1, z, d.a, d.b, da_order + db_order, trunc, math)[db_order]
+    return _lattice_sum(1, z, ((d.a, d.b),), da_order + db_order, trunc, math)[0][db_order]
 
 
 def hessian_universal(
@@ -152,7 +149,14 @@ def energy(
     """Two-component energy theta(1; z) + alpha J(z; a, b), |alpha| <= 1."""
     if not -1.0 <= alpha <= 1.0:
         raise DomainError(f"coupling must lie in [-1, 1], got {alpha}")
-    return theta2d(1, z, trunc) + alpha * j_eval(z, d, trunc=trunc)
+    theta, j = _energy_terms(z, d, trunc)
+    return theta + alpha * j
+
+
+def _energy_terms(z: HalfPlanePoint, d: Displacement, trunc: SeriesTruncation) -> tuple:
+    """theta(1; z) and J(z; a, b), the terms of :func:`energy`, from one lattice pass."""
+    (theta,), (j,) = _lattice_sum(1, z, ((0, 0), (d.a, d.b)), 0, trunc, math)
+    return theta, j
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +198,6 @@ class PhaseRow:
             )
 
 
-def _half_half_energy(alpha: float, z: HalfPlanePoint, trunc: SeriesTruncation) -> float:
-    # theta(1;z) + alpha J(z;1/2,1/2) = (1-alpha) theta(1;z) + 2 alpha theta(2;(z+1)/2)
-    shifted, plain = _w_parts(FunctionalKind.W1, z, trunc, math)
-    return (1 - alpha) * plain + 2 * alpha * shifted
-
-
 def alpha_thresholds(trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> Tuple[float, float]:
     """(alpha1, alpha2): band edges of the square phase, from the thresholds."""
     return _band_edges(thresholds(trunc))
@@ -227,7 +225,7 @@ def optimal_lattice(
         shape, parameter = "square", 1.0
     else:
         shape, parameter = "rectangular", z.y
-    return PhaseRow(alpha, shape, z, parameter, _half_half_energy(alpha, z, trunc))
+    return PhaseRow(alpha, shape, z, parameter, energy(alpha, z, UNIVERSAL_POINTS["w3"], trunc))
 
 
 def phase_row(alpha: float, trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> PhaseRow:
@@ -250,10 +248,7 @@ def phase_row(alpha: float, trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> Pha
 @_cached(phase_row)
 def _coincident_hexagonal(trunc: SeriesTruncation) -> Tuple[float, float]:
     """theta(1; z0) and J(z0; 0, 0), the terms of :func:`energy` at the hexagonal row."""
-    return (
-        theta2d(1, HEXAGONAL_POINT, trunc),
-        j_eval(HEXAGONAL_POINT, UNIVERSAL_POINTS["w0"], trunc=trunc),
-    )
+    return _energy_terms(HEXAGONAL_POINT, UNIVERSAL_POINTS["w0"], trunc)
 
 
 class Alpha0Result(NamedTuple):
@@ -284,9 +279,7 @@ def solve_alpha0(trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> Alpha0Result:
 
 @_cached(solve_alpha0)
 def _cached_alpha0(trunc: SeriesTruncation) -> Alpha0Result:
-    third = Displacement(1.0 / 3.0, 1.0 / 3.0)
-    t_hex = theta2d(1, HEXAGONAL_POINT, trunc)
-    j_hex = j_eval(HEXAGONAL_POINT, third, trunc=trunc)
+    t_hex, j_hex = _energy_terms(HEXAGONAL_POINT, Displacement(1.0 / 3.0, 1.0 / 3.0), trunc)
 
     def gap(alpha: float) -> Tuple[float, None]:
         return (t_hex + alpha * j_hex) - optimal_lattice(alpha, trunc).energy, None
@@ -299,10 +292,8 @@ def _cached_alpha0(trunc: SeriesTruncation) -> Alpha0Result:
         )
     alpha0 = _bracketed_root(gap, lo, glo, hi, ghi, 0.0)
 
-    square = HalfPlanePoint(0.0, 1.0)
-    rough = (theta2d(1, square, trunc) - t_hex) / (
-        j_hex - j_eval(square, UNIVERSAL_POINTS["w3"], trunc=trunc)
-    )
+    t_square, j_square = _energy_terms(HalfPlanePoint(0.0, 1.0), UNIVERSAL_POINTS["w3"], trunc)
+    rough = (t_square - t_hex) / (j_hex - j_square)
     return Alpha0Result(alpha0, optimal_lattice(alpha0, trunc).angle_or_ratio, rough)
 
 

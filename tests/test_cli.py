@@ -116,7 +116,7 @@ class TestEval:
 
         calls = []
         original = phase_diagram._lattice_sum
-        counted = lambda *args: calls.append(args[4]) or original(*args)
+        counted = lambda *args: calls.append(args[3]) or original(*args)
         monkeypatch.setattr(phase_diagram, "_lattice_sum", counted)
         monkeypatch.setattr(cli, "_lattice_sum", counted, raising=False)
         code, out, _ = run(
@@ -258,8 +258,8 @@ class TestThresholds:
 
         first = run(capsys, "thresholds", "--precision", "extended")
         calls = []
-        original = functionals.xyab
-        monkeypatch.setattr(functionals, "xyab", lambda *a: calls.append(a) or original(*a))
+        original = functionals._xyab_jet  # what _quotient_jet reads X, Y, A and B from
+        monkeypatch.setattr(functionals, "_xyab_jet", lambda *a: calls.append(a) or original(*a))
         assert run(capsys, "thresholds", "--precision", "extended") == first
         assert first[0] == 0 and calls == []
 
@@ -320,22 +320,20 @@ class TestTrajectory:
 
     def test_plateau_rows_share_one_corner_evaluation(self, capsys, monkeypatch):
         """Every W2 row with rho in [rho2, 1/rho1] sits at i; the table's
-        lattice-theta calls do not grow with the number of such rows."""
-        from latticetheta import functionals
+        lattice passes do not grow with the number of such rows."""
+        from latticetheta import functionals, kernels
 
         counts = []
         for n in (4, 40):
-            calls = []
+            passes, original = [], kernels._lattice_sum
             functionals.w_eval.cache_clear()
             with monkeypatch.context() as m:
-                for name in ("theta2d", "theta2d_shifted"):
-                    original = getattr(functionals, name)
-                    m.setattr(functionals, name, lambda *a, _f=original: calls.append(a) or _f(*a))
+                m.setattr(kernels, "_lattice_sum", lambda *a: passes.append(a) or original(*a))
                 code, out, _ = run(capsys, "trajectory", "W2", "--sweep", f"2:20:{n}")
             assert code == 0
             assert [r["branch"] for r in rows_of(out)] == ["corner"] * n
-            counts.append(len(calls))
-        assert counts[0] == counts[1] == 2
+            counts.append(len(passes))
+        assert counts[0] == counts[1] == 1
 
     def test_rows_are_ordered_and_values_certified(self, capsys):
         from latticetheta.functionals import FunctionalKind, w_eval

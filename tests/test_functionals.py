@@ -272,23 +272,58 @@ def test_w_eval_axis_identities(y, rho):
 
 def test_w_eval_reads_the_corner_from_a_cache(monkeypatch):
     """At z = i the rho-free thetas are summed once per truncation; a point that
-    only compares equal to i (x = -0.0) still goes to the kernel."""
+    only compares equal to i (x = -0.0) still goes to the kernel, in one lattice
+    pass at s = 1 (W1) or 1/2 (W2) with the displacements (0, 0) and (1/2, 1/2)."""
+    from latticetheta import kernels
+
     corner, signed = HalfPlanePoint(0.0, 1.0), HalfPlanePoint(-0.0, 1.0)
     w_eval.cache_clear()
     for kind in (W1, W2):
         w_eval(kind, 0.7, corner)  # fills the cache
-    calls = []
-    for name in ("theta2d", "theta2d_shifted"):
-        original = getattr(functionals, name)
-        monkeypatch.setattr(
-            functionals, name, lambda *a, _f=original: calls.append(a) or _f(*a)
-        )
-    for kind, (s_shift, s_plain) in ((W1, (2, 1)), (W2, (1, 2))):
-        for z, kernel_calls in ((corner, 0), (signed, 2)):
-            calls.clear()
-            assert w_eval(kind, 0.7, z) == theta2d_shifted(s_shift, z) + 0.7 * theta2d(s_plain, z)
-            assert len(calls) == kernel_calls
+    passes, original = [], kernels._lattice_sum
+    monkeypatch.setattr(kernels, "_lattice_sum", lambda *a: passes.append(a) or original(*a))
+    for kind, s in ((W1, 1), (W2, 0.5)):
+        for z, kernel_passes in ((corner, 0), (signed, 1)):
+            shifts = ((0, 0), (0.5, 0.5))
+            (plain,), (half,) = original(s, z, shifts, 0, kernels.DEFAULT_TRUNCATION, math)
+            passes.clear()
+            assert w_eval(kind, 0.7, z) == (plain + half) / 2 + 0.7 * (s * plain)
+            assert len(passes) == kernel_passes
     assert w_eval.cache_info().currsize == 2
+
+
+# one point of each class of L(1/2, 1/2) mod 1 -- (1/2, 1/2), (0, 1/2), (1/2, 0) -- then
+# tiny and large y, |x| = 3 and the corner z = i
+SHIFT_CLASS_POINTS = [
+    (0.3, 1.4), (2.2821, 0.177), (-1.7, 0.1), (0.2, 0.05), (0.2, 20.0), (3.0, 0.8), (-3.0, 1.3),
+    (0.0, 1.0),
+]
+
+
+def plain_theta(s, x, y):
+    """theta(s; x+iy) at 30 digits by a plain double sum; x and y may be mpf."""
+    from test_kernels import direct_sum
+    from test_verifier import theta_30_digits
+
+    if 0.06 <= y <= 10:
+        return theta_30_digits(s, x, y)
+    with mp.workdps(30):
+        return direct_sum(s, x, y, cut=60)
+
+
+@pytest.mark.parametrize("x,y", SHIFT_CLASS_POINTS)
+def test_one_pass_thetas_match_plain_double_sums(x, y):
+    """theta2d_shifted and W1/W2, each one lattice pass at z, against double sums
+    over the lattices of z and of (z+1)/2."""
+    z, rho = HalfPlanePoint(x, y), 0.7
+    with mp.workdps(30):
+        xh, yh = (mp.mpf(x) + 1) / 2, mp.mpf(y) / 2
+    shifted = {s: float(plain_theta(s, xh, yh)) for s in (1, 2)}
+    plain = {s: float(plain_theta(s, x, y)) for s in (1, 2)}
+    for s in (1, 2):
+        assert theta2d_shifted(s, z) == pytest.approx(shifted[s], rel=1e-12), s
+    assert w_eval(W1, rho, z) == pytest.approx(shifted[2] + rho * plain[1], rel=1e-12)
+    assert w_eval(W2, rho, z) == pytest.approx(shifted[1] + rho * plain[2], rel=1e-12)
 
 
 def test_w_eval_rejects_negative_weight():

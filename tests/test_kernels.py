@@ -418,7 +418,7 @@ def test_extended_j_partials_at_a_displacement_match_45_digit_sums(x, y, a, b):
     tight, z = SeriesTruncation(tail_tol=1e-25), HalfPlanePoint(x, y)
     for order in (0, 1, 2):
         with mp.workdps(30):
-            got = kernels._lattice_sum(1, z, a, b, order, tight, mp.mp)
+            got = kernels._lattice_sum(1, z, ((a, b),), order, tight, mp.mp)[0]
         with mp.workdps(45):
             want = [direct_sum(1, x, y, a, b, order - db, db, cut=110) for db in range(order + 1)]
         for g, w in zip(got, want):
@@ -433,7 +433,7 @@ def test_table_grid_matches_30_digit_sums(x, y, n):
     grid = kernels._table_grid(kernels._torus_table(z, DEFAULT_TRUNCATION), n)
     for i, j in [(0, 0), (1, n - 1), (n // 2, 3), (n - 5, n // 3), (7, 11), (n - 1, n - 2)]:
         with mp.workdps(30):
-            want = kernels._lattice_sum(1, z, mp.mpf(i) / n, mp.mpf(j) / n, 1, fine, mp.mp)
+            want = kernels._lattice_sum(1, z, ((mp.mpf(i) / n, mp.mpf(j) / n),), 1, fine, mp.mp)[0]
         for q, w in enumerate(want):
             assert abs(grid[q][i][j] - w) <= 1e-12 * (1 + abs(w)), (q, i, j)
 

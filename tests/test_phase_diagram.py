@@ -348,8 +348,8 @@ class TestOptimalLattice:
         def kernel(*args, **kwargs):
             raise AssertionError("a warm hexagonal row reached the lattice kernel")
 
-        monkeypatch.setattr(kernels, "_lattice_sum", kernel)  # theta2d, theta2d_shifted
-        monkeypatch.setattr(phase_diagram, "_lattice_sum", kernel)  # j_eval
+        monkeypatch.setattr(kernels, "_lattice_sum", kernel)  # theta2d, the W and shifted passes
+        monkeypatch.setattr(phase_diagram, "_lattice_sum", kernel)  # j_eval, the energy pass
         assert [phase_row(a).energy for a in alphas] == expected
         assert phase_row.cache_info().currsize == 1
 
@@ -465,7 +465,7 @@ class TestCriticalCensus:
         ga, gb = kernels._table_grid(kernels._torus_table(z, trunc), n)
         for i in range(n):
             for j in range(n):
-                pa, pb = kernels._lattice_sum(1, z, i / n, j / n, 1, trunc, math)
+                pa, pb = kernels._lattice_sum(1, z, ((i / n, j / n),), 1, trunc, math)[0]
                 assert abs(ga[i][j] - pa) <= 1e-13 * (1 + abs(pa)), (i, j)
                 assert abs(gb[i][j] - pb) <= 1e-13 * (1 + abs(pb)), (i, j)
 
@@ -477,8 +477,8 @@ class TestCriticalCensus:
         table = kernels._torus_table(z, trunc)
         for a, b in [(0.1, 0.2), (0.37, 0.81), (0.5, 0.5), (0.9, 0.05), (0.25, 0.75), (0, 0)]:
             got = kernels._table_partials(table, a, b)
-            want = kernels._lattice_sum(1, z, a, b, 1, trunc, math)
-            want += kernels._lattice_sum(1, z, a, b, 2, trunc, math)
+            want = kernels._lattice_sum(1, z, ((a, b),), 1, trunc, math)[0]
+            want += kernels._lattice_sum(1, z, ((a, b),), 2, trunc, math)[0]
             for g, p in zip(got, want):
                 assert abs(g - p) <= 1e-13 * (1 + abs(p)), (a, b)
 

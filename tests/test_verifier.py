@@ -620,6 +620,17 @@ class TestSuites:
         run_suite("oracle", grid_n=100)
         assert 0 < len(calls) <= 1000
 
+    def test_oracle_suite_makes_one_lattice_pass_per_visited_point(self, monkeypatch):
+        # each w_eval reads both rho-free thetas from one pass (two before: 1,876 passes
+        # for 940 points); the corner z = i is read from its cache
+        from latticetheta import kernels
+
+        calls, passes, original = [], [], kernels._lattice_sum
+        monkeypatch.setattr(verifier, "w_eval", lambda *a: calls.append(a) or w_eval(*a))
+        monkeypatch.setattr(kernels, "_lattice_sum", lambda *a: passes.append(a) or original(*a))
+        run_suite("oracle", grid_n=100)
+        assert 0 < len(passes) <= len(calls) <= 1000
+
     def test_all_concatenates(self):
         rows = run_suite("all", grid_n=110)
         names = [r.name for r in rows]
