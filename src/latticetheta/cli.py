@@ -66,7 +66,7 @@ def parse_halfplane(text: str) -> HalfPlanePoint:
 
 
 def parse_sweep(text: str, default_n: int = 256) -> List[float]:
-    """Parse "lo:hi:n" or "lo:hi:n:log" into a grid of sweep values."""
+    """Parse "lo:hi:n" or "lo:hi:n:log" into a grid from lo to hi itself."""
     parts = text.split(":")
     if len(parts) not in (2, 3, 4):
         raise UsageError(f"sweep must be lo:hi[:n[:log]], got {text!r}")
@@ -86,9 +86,9 @@ def parse_sweep(text: str, default_n: int = 256) -> List[float]:
         if not lo > 0:
             raise UsageError("log sweep needs lo > 0")
         ratio = (hi / lo) ** (1 / (n - 1))
-        return [lo * ratio**k for k in range(n)]
+        return [min(lo * ratio**k, hi) for k in range(n - 1)] + [hi]
     step = (hi - lo) / (n - 1)
-    return [lo + step * k for k in range(n)]
+    return [lo + step * k for k in range(n - 1)] + [hi]
 
 
 def _truncation(args: argparse.Namespace) -> SeriesTruncation:

@@ -1,258 +1,20 @@
-"""Exponential-polynomial tables for the weighted Wronskian bounds.
+"""Approximant term lists of the appendix tables, and the source's constants.
 
-Generated by tools/derive_poly_tables.py; do not edit by hand.
-
-Term encoding: (rate_quarters, pi_pow, y_pow, coeff) stands for the
-monomial  coeff * pi**pi_pow * y**y_pow * exp(-rate_quarters*pi*y/4).
 Series terms: (rate_quarters, coeff) stands for
-coeff * sqrt(y) * exp(-rate_quarters*pi*y/4).
-
-FAB_WEIGHTED reproduces the table as printed (whose derivation drops
-the 4*exp(-4*pi*y) monomial of the A-series approximant); FAB_DERIVED
-keeps all six monomials.  FXY_WEIGHTED corrects two misprints
-(1465536 for 1465533, and -1400640*pi**4*y**4 for a garbled monomial).
+coeff * sqrt(y) * exp(-rate_quarters*pi*y/4).  The appendix's weighted
+Wronskian tables are derived exactly from these lists on first use
+(``verifier._tables``); tools/derive_poly_tables.py checks that derivation
+against the printed tables.
 
 STATED_VALUES are the source's printed constants (the thresholds suite
 and command) and SUITES the names run_suite accepts; this module
 imports nothing, so the CLI reads them without loading numpy.
 """
 
-PXY_PLUS = (
-    (0, 0, 0, -6),
-    (0, 1, 1, 1),
-    (4, 1, 1, -110),
-    (8, 1, 1, -243),
-    (12, 0, 0, -108),
-    (12, 2, 2, -840),
-    (16, 1, 1, -2176),
-    (20, 0, 0, -288),
-    (20, 2, 2, -1440),
-    (24, 1, 1, -700),
-    (28, 0, 0, -144),
-    (28, 2, 2, -2496),
-)
-
-PXY_MINUS = (
-    (4, 0, 0, 132),
-    (4, 2, 2, 24),
-    (8, 0, 0, 162),
-    (8, 2, 2, 192),
-    (12, 1, 1, 234),
-    (16, 0, 0, 768),
-    (16, 2, 2, 2208),
-    (20, 1, 1, 1008),
-    (24, 0, 0, 168),
-    (24, 2, 2, 2016),
-    (28, 1, 1, 696),
-)
-
-FXY_WEIGHTED = (
-    (0, 0, 0, -144),
-    (0, 1, 1, 84),
-    (0, 2, 2, 8),
-    (0, 3, 3, -1),
-    (4, 0, 0, 3168),
-    (4, 1, 1, -9240),
-    (4, 2, 2, -6320),
-    (4, 3, 3, 350),
-    (4, 4, 4, 1392),
-    (4, 5, 5, -240),
-    (8, 0, 0, 3888),
-    (8, 1, 1, -20412),
-    (8, 2, 2, -32856),
-    (8, 3, 3, -14877),
-    (8, 4, 4, 36096),
-    (8, 5, 5, -11232),
-    (12, 0, 0, -2592),
-    (12, 1, 1, 19656),
-    (12, 2, 2, 91536),
-    (12, 3, 3, 178854),
-    (12, 4, 4, -348240),
-    (12, 5, 5, 209040),
-    (16, 0, 0, 18432),
-    (16, 1, 1, -182784),
-    (16, 2, 2, -472576),
-    (16, 3, 3, -121856),
-    (16, 4, 4, 1465536),
-    (16, 5, 5, -804576),
-    (20, 0, 0, -6912),
-    (20, 1, 1, 84672),
-    (20, 2, 2, 284544),
-    (20, 3, 3, 160272),
-    (20, 4, 4, -1400640),
-    (20, 5, 5, 685440),
-    (24, 0, 0, 4032),
-    (24, 1, 1, -58800),
-    (24, 2, 2, -301280),
-    (24, 3, 3, -570500),
-    (24, 4, 4, 3100608),
-    (24, 5, 5, -3628800),
-    (28, 0, 0, -3456),
-    (28, 1, 1, 58464),
-    (28, 2, 2, 361152),
-    (28, 3, 3, 862344),
-    (28, 4, 4, -5236608),
-    (28, 5, 5, 7527936),
-)
-
-PAB_PLUS = (
-    (0, 0, 0, -3),
-    (0, 1, 1, 1),
-    (2, 1, 1, -8),
-    (4, 1, 1, -12),
-    (8, 1, 1, -10),
-    (10, 0, 0, -48),
-    (10, 2, 2, -128),
-    (12, 0, 0, -72),
-    (12, 2, 2, -240),
-    (16, 1, 1, -99),
-    (18, 0, 0, -144),
-    (18, 2, 2, -768),
-    (20, 0, 0, -84),
-    (20, 2, 2, -504),
-    (24, 1, 1, -52),
-    (32, 0, 0, -12),
-    (32, 2, 2, -288),
-)
-
-PAB_MINUS = (
-    (2, 0, 0, 12),
-    (4, 0, 0, 12),
-    (4, 2, 2, 8),
-    (8, 0, 0, 6),
-    (8, 2, 2, 48),
-    (10, 1, 1, 96),
-    (12, 1, 1, 168),
-    (16, 0, 0, 33),
-    (16, 2, 2, 64),
-    (18, 1, 1, 480),
-    (20, 1, 1, 308),
-    (24, 0, 0, 12),
-    (24, 2, 2, 240),
-    (32, 1, 1, 68),
-)
-
-FAB_WEIGHTED = (
-    (0, 0, 0, -18),
-    (0, 1, 1, 21),
-    (0, 2, 2, 4),
-    (0, 3, 3, -1),
-    (2, 0, 0, 72),
-    (2, 1, 1, -168),
-    (2, 2, 2, -64),
-    (2, 3, 3, 32),
-    (4, 0, 0, 72),
-    (4, 1, 1, -252),
-    (4, 2, 2, -304),
-    (4, 3, 3, -132),
-    (4, 4, 4, 176),
-    (4, 5, 5, -48),
-    (8, 0, 0, 36),
-    (8, 1, 1, -210),
-    (8, 2, 2, -1160),
-    (8, 3, 3, -2150),
-    (8, 4, 4, 2784),
-    (8, 5, 5, -960),
-    (10, 0, 0, -288),
-    (10, 1, 1, 2016),
-    (10, 2, 2, 4864),
-    (10, 3, 3, 4224),
-    (10, 4, 4, -11264),
-    (10, 5, 5, 6144),
-    (12, 0, 0, -432),
-    (12, 1, 1, 3528),
-    (12, 2, 2, 9504),
-    (12, 3, 3, 8568),
-    (12, 4, 4, -28320),
-    (12, 5, 5, 16800),
-    (16, 0, 0, -306),
-    (16, 1, 1, 3213),
-    (16, 2, 2, 8708),
-    (16, 3, 3, 2007),
-    (16, 4, 4, -32320),
-    (16, 5, 5, 28800),
-    (20, 0, 0, -504),
-    (20, 1, 1, 6468),
-    (20, 2, 2, 23632),
-    (20, 3, 3, 18172),
-    (20, 4, 4, -140112),
-    (20, 5, 5, 99792),
-    (24, 0, 0, -360),
-    (24, 1, 1, 5460),
-    (24, 2, 2, 27920),
-    (24, 3, 3, 49660),
-    (24, 4, 4, -295200),
-    (24, 5, 5, 336960),
-)
-
-FAB_DERIVED = (
-    (0, 0, 0, -18),
-    (0, 1, 1, 21),
-    (0, 2, 2, 4),
-    (0, 3, 3, -1),
-    (2, 0, 0, 72),
-    (2, 1, 1, -168),
-    (2, 2, 2, -64),
-    (2, 3, 3, 32),
-    (4, 0, 0, 72),
-    (4, 1, 1, -252),
-    (4, 2, 2, -304),
-    (4, 3, 3, -132),
-    (4, 4, 4, 176),
-    (4, 5, 5, -48),
-    (8, 0, 0, 36),
-    (8, 1, 1, -210),
-    (8, 2, 2, -1160),
-    (8, 3, 3, -2150),
-    (8, 4, 4, 2784),
-    (8, 5, 5, -960),
-    (10, 0, 0, -288),
-    (10, 1, 1, 2016),
-    (10, 2, 2, 4864),
-    (10, 3, 3, 4224),
-    (10, 4, 4, -11264),
-    (10, 5, 5, 6144),
-    (12, 0, 0, -432),
-    (12, 1, 1, 3528),
-    (12, 2, 2, 9504),
-    (12, 3, 3, 8568),
-    (12, 4, 4, -28320),
-    (12, 5, 5, 16800),
-    (16, 0, 0, 198),
-    (16, 1, 1, -2079),
-    (16, 2, 2, -4844),
-    (16, 3, 3, 2259),
-    (16, 4, 4, 7552),
-    (16, 5, 5, 12672),
-    (18, 0, 0, -864),
-    (18, 1, 1, 10080),
-    (18, 2, 2, 34560),
-    (18, 3, 3, 28800),
-    (18, 4, 4, -178176),
-    (18, 5, 5, 122880),
-    (20, 0, 0, -504),
-    (20, 1, 1, 6468),
-    (20, 2, 2, 23632),
-    (20, 3, 3, 18172),
-    (20, 4, 4, -140112),
-    (20, 5, 5, 99792),
-    (24, 0, 0, 72),
-    (24, 1, 1, -1092),
-    (24, 2, 2, -7504),
-    (24, 3, 3, -22412),
-    (24, 4, 4, 106080),
-    (24, 5, 5, -162240),
-    (32, 0, 0, -72),
-    (32, 1, 1, 1428),
-    (32, 2, 2, 10384),
-    (32, 3, 3, 29308),
-    (32, 4, 4, -207936),
-    (32, 5, 5, 352512),
-)
-
 XA_TERMS = ((0, 1), (4, 4), (8, 4), (16, 4))
 YA_TERMS = ((0, 1), (1, 2), (4, 4), (5, -4), (8, 4), (9, 2), (13, -4), (16, 4))
 AA_MONOMIALS = ((0, 1), (2, 2), (8, 4), (10, 4), (16, 4), (18, 2))
+AA_MONOMIALS_5TERM = ((0, 1), (2, 2), (8, 4), (10, 4), (18, 2))  # printed F_AB: no 4 e^{-4 pi y}
 BA_TERMS = ((2, 2), (4, -4), (10, 4), (18, 2))
 
 STATED_VALUES = {
@@ -265,4 +27,4 @@ STATED_VALUES = {
     "alpha1": 0.3732155067,
     "alpha2": 0.9256496973,
 }
-SUITES = ('identities', 'thresholds', 'appendix', 'oracle', 'all')
+SUITES = ("identities", "thresholds", "appendix", "oracle", "all")

@@ -427,14 +427,68 @@ def x_monotonicity_scan(
 # ---------------------------------------------------------------------------
 # appendix polynomials and margins
 
-_TABLES = {
-    "PXY_plus": polydata.PXY_PLUS,
-    "PXY_minus": polydata.PXY_MINUS,
-    "PAB_plus": polydata.PAB_PLUS,
-    "PAB_minus": polydata.PAB_MINUS,
-    "FXY_weighted": polydata.FXY_WEIGHTED,
-    "FAB_weighted": polydata.FAB_WEIGHTED,
-}
+
+def _wronskian(left, right, lo, hi, weight, y_pow, rate):
+    """Exact (weight y^y_pow / pi) e^{rate pi y/4} (right^(hi) left^(lo) - left^(hi) right^(lo)).
+
+    left and right are series term lists (rate_quarters, coeff), and the
+    result is a sorted table of (rate_quarters, pi_pow, y_pow, coeff) terms
+    with int coefficients.  Monomials are carried as Fraction coefficients
+    keyed by (rate_quarters, pi power, 2 * y power).
+    """
+    from fractions import Fraction  # loaded on first use, not on import
+
+    def diff(terms, k):
+        f = {(r, 0, 1): Fraction(c) for r, c in terms}
+        for _ in range(k):
+            g = {}
+            for (r, p, q), c in f.items():
+                for key, dc in (((r, p, q - 2), c * q / 2), ((r, p + 1, q), -c * r / 4)):
+                    if dc:
+                        g[key] = g.get(key, 0) + dc
+            f = g
+        return f
+
+    acc = {}
+    for f, g, sign in ((diff(right, hi), diff(left, lo), 1), (diff(left, hi), diff(right, lo), -1)):
+        for (r1, p1, q1), c1 in f.items():
+            for (r2, p2, q2), c2 in g.items():
+                key = (r1 + r2 - rate, p1 + p2 - 1, (q1 + q2) // 2 + y_pow)
+                acc[key] = acc.get(key, 0) + sign * weight * c1 * c2
+    return tuple(sorted((*key, int(c)) for key, c in acc.items() if c))
+
+
+@cache
+def _tables():
+    """The appendix tables by appendix_poly's names, derived on first use.
+
+    A term (rate_quarters, pi_pow, y_pow, coeff) is the monomial
+    coeff * pi**pi_pow * y**y_pow * exp(-rate_quarters*pi*y/4).  With the
+    polydata term lists,  P_XY = (16y/pi) e^{pi y/4} (Ya'' Xa' - Xa'' Ya'),
+    F_XY = (512y^4/pi) e^{pi y/4} (Ya'''' Xa'' - Ya'' Xa''''),
+    P_AB = (4y/pi) e^{pi y/2} (Ba'' Aa' - Aa'' Ba') and
+    F_AB = (32y^4/pi) e^{pi y/2} (Ba'''' Aa'' - Ba'' Aa'''').  P_XY and P_AB
+    are split as the appendix groups them: the rate-0 monomials (pi*y and
+    the constant) and every negative one are "plus", the rest "minus".
+    FAB_weighted reproduces the table as printed, whose derivation drops the
+    4*exp(-4*pi*y) monomial of the A-series approximant; FAB_derived, the
+    Wronskian of all six monomials, is _wronskian(AA_MONOMIALS, BA_TERMS,
+    2, 4, 32, 4, 2), which no runtime code reads.  FXY_weighted corrects two misprints: 1465536
+    for 1465533, and -1400640*pi**4*y**4 for a garbled monomial.  The
+    sympy check against the printed tables is tools/derive_poly_tables.py.
+    """
+    pd = polydata
+    tables = {
+        "FXY_weighted": _wronskian(pd.XA_TERMS, pd.YA_TERMS, 2, 4, 512, 4, 1),
+        "FAB_weighted": _wronskian(pd.AA_MONOMIALS_5TERM, pd.BA_TERMS, 2, 4, 32, 4, 2),
+    }
+    for name, table in (
+        ("PXY", _wronskian(pd.XA_TERMS, pd.YA_TERMS, 1, 2, 16, 1, 1)),
+        ("PAB", _wronskian(pd.AA_MONOMIALS, pd.BA_TERMS, 1, 2, 4, 1, 2)),
+    ):
+        tables[name + "_plus"] = tuple(t for t in table if t[0] == 0 or t[3] < 0)
+        tables[name + "_minus"] = tuple(t for t in table if t[0] != 0 and t[3] > 0)
+    return tables
 
 
 def eval_table(terms, y: float, order: int = 0) -> float:
@@ -457,13 +511,14 @@ def appendix_poly(
     trunc: SeriesTruncation = DEFAULT_TRUNCATION,
 ) -> float:
     """One of the transcribed weighted-Wronskian polynomials at y >= 1."""
-    if name not in _TABLES:
-        raise DomainError(f"unknown appendix table {name!r}; expected one of {sorted(_TABLES)}")
+    tables = _tables()
+    if name not in tables:
+        raise DomainError(f"unknown appendix table {name!r}; expected one of {sorted(tables)}")
     if not y >= 1:
         raise DomainError(f"appendix polynomials are used on y >= 1, got {y}")
     if order not in (0, 1):
         raise DomainError(f"appendix table derivative order must be 0 or 1, got {order}")
-    return eval_table(_TABLES[name], y, order)
+    return eval_table(tables[name], y, order)
 
 
 class MarginRow(NamedTuple):
@@ -480,8 +535,9 @@ def _margin(name, computed, printed, tol) -> MarginRow:
 
 def appendix_margins(trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> List[MarginRow]:
     """Every named constant of the sign-bound proofs, recomputed from scratch."""
-    pxy_all = polydata.PXY_PLUS + polydata.PXY_MINUS
-    pab_all = polydata.PAB_PLUS + polydata.PAB_MINUS
+    t = _tables()
+    pxy_all = t["PXY_plus"] + t["PXY_minus"]
+    pab_all = t["PAB_plus"] + t["PAB_minus"]
     u3 = eval_table(pxy_all, 1.1) - 16 * 1.1 * (
         44 * math.pi + 18 + 36 * 1.1
     ) * math.exp(-4 * math.pi * 1.1)
@@ -509,12 +565,12 @@ def appendix_margins(trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> List[Margi
         _margin("sigma4_at_sqrt3half", sigma_bound(4, y0), 3.255011e-7, 1e-12),
         _margin("u3_margin", u3, 0.001671778, 1e-7),
         _margin("uu3_margin", uu3, 0.001189906301, 1e-6),
-        _margin("v3_pair_main", eval_table(polydata.FXY_WEIGHTED, 1.11), 158.4646175, 1e-6),
+        _margin("v3_pair_main", eval_table(t["FXY_weighted"], 1.11), 158.4646175, 1e-6),
         _margin("v3_pair_envelope", v3_env, 130.0476135, 1e-6),
-        _margin("vv3_pair_main", eval_table(polydata.FAB_WEIGHTED, 1.12), 49.93918473, 1e-6),
+        _margin("vv3_pair_main", eval_table(t["FAB_weighted"], 1.12), 49.93918473, 1e-6),
         _margin("vv3_pair_envelope", vv3_env, 0.09227517899, 1e-6),
-        _margin("pxy_minus_deriv", eval_table(polydata.PXY_MINUS, 2.2, 1), -3.012967072, 1e-6),
-        _margin("pab_minus_deriv", eval_table(polydata.PAB_MINUS, 1.82, 1), -3.051954266, 1e-6),
+        _margin("pxy_minus_deriv", eval_table(t["PXY_minus"], 2.2, 1), -3.012967072, 1e-6),
+        _margin("pab_minus_deriv", eval_table(t["PAB_minus"], 1.82, 1), -3.051954266, 1e-6),
     ]
 
 

@@ -56,6 +56,21 @@ class TestParsing:
         assert logs == pytest.approx([1.0, 10.0, 100.0])
         assert len(parse_sweep("0:1")) == 256
 
+    def test_sweep_ends_on_hi(self, capsys):
+        # the last log point used to land at 1.0000000000000053 and exit 2
+        code, out, err = run(capsys, "phase", "--sweep", "0.001:1:150:log")
+        assert code == 0, err
+        alphas = [float(r["alpha"]) for r in rows_of(out)]
+        assert len(alphas) == 150 and alphas[-1] == 1.0
+        for lo in (0.001, 0.01, 0.1, 0.3, 0.7):
+            for n in range(2, 400):
+                for mode in ("", ":log"):
+                    vals = parse_sweep(f"{lo}:1:{n}{mode}")
+                    assert len(vals) == n and vals[0] == lo and vals[-1] == 1.0
+                    assert all(lo <= v <= 1.0 for v in vals), (lo, n, mode)
+        # a log ratio that rounds up must not carry the inner points past hi
+        assert max(parse_sweep("1:1.0000000000000004:100:log")) == 1.0000000000000004
+
     def test_sweep_validation(self):
         with pytest.raises(UsageError):
             parse_sweep("2:1:5")
@@ -412,6 +427,18 @@ def test_import_leaves_numpy_unloaded():
     from latticetheta import run_suite, verifier
 
     assert run_suite is verifier.run_suite
+
+
+def test_verifier_import_derives_no_appendix_table():
+    # the appendix tables, and the fractions module they need, wait for first use
+    code = (
+        "import sys, latticetheta.verifier as v; "
+        "print(v._tables.cache_info().currsize, 'fractions' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["0", "False"]
 
 
 # ---------------------------------------------------------------------------

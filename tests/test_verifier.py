@@ -334,10 +334,14 @@ def _series(terms, y, order):
     return total
 
 
+def _table(name):
+    return verifier._tables()[name]
+
+
 class TestAppendixTables:
     @pytest.mark.parametrize("y", [1.0, 1.38, 2.2])
     def test_pxy_table_is_the_weighted_wronskian(self, y):
-        lhs = eval_table(polydata.PXY_PLUS + polydata.PXY_MINUS, y)
+        lhs = eval_table(_table("PXY_plus") + _table("PXY_minus"), y)
         rhs = (16 * y / math.pi) * math.exp(math.pi * y / 4) * (
             _series(polydata.YA_TERMS, y, 2) * _series(polydata.XA_TERMS, y, 1)
             - _series(polydata.XA_TERMS, y, 2) * _series(polydata.YA_TERMS, y, 1)
@@ -346,7 +350,7 @@ class TestAppendixTables:
 
     @pytest.mark.parametrize("y", [1.0, 1.38, 2.2])
     def test_pab_table_is_the_weighted_wronskian(self, y):
-        lhs = eval_table(polydata.PAB_PLUS + polydata.PAB_MINUS, y)
+        lhs = eval_table(_table("PAB_plus") + _table("PAB_minus"), y)
         rhs = (4 * y / math.pi) * math.exp(math.pi * y / 2) * (
             _series(polydata.BA_TERMS, y, 2) * _series(polydata.AA_MONOMIALS, y, 1)
             - _series(polydata.AA_MONOMIALS, y, 2) * _series(polydata.BA_TERMS, y, 1)
@@ -355,7 +359,7 @@ class TestAppendixTables:
 
     @pytest.mark.parametrize("y", [1.0, 1.11, 1.7])
     def test_fxy_table_is_the_weighted_wronskian(self, y):
-        lhs = eval_table(polydata.FXY_WEIGHTED, y)
+        lhs = eval_table(_table("FXY_weighted"), y)
         rhs = (512 * y**4 / math.pi) * math.exp(math.pi * y / 4) * (
             _series(polydata.YA_TERMS, y, 4) * _series(polydata.XA_TERMS, y, 2)
             - _series(polydata.YA_TERMS, y, 2) * _series(polydata.XA_TERMS, y, 4)
@@ -372,12 +376,11 @@ class TestAppendixTables:
                 - _series(polydata.BA_TERMS, y, 2) * _series(terms, y, 4)
             )
 
-        assert eval_table(polydata.FAB_WEIGHTED, y) == pytest.approx(
+        assert eval_table(_table("FAB_weighted"), y) == pytest.approx(
             wronskian(five_term), rel=1e-11
         )
-        assert eval_table(polydata.FAB_DERIVED, y) == pytest.approx(
-            wronskian(polydata.AA_MONOMIALS), rel=1e-11
-        )
+        six_term = verifier._wronskian(polydata.AA_MONOMIALS, polydata.BA_TERMS, 2, 4, 32, 4, 2)
+        assert eval_table(six_term, y) == pytest.approx(wronskian(polydata.AA_MONOMIALS), rel=1e-11)
 
     def test_appendix_poly_dispatch_and_derivative(self):
         h = 1e-5
@@ -411,17 +414,17 @@ class TestAppendixTables:
                 assert m.diff <= m.tol, m
 
     def test_pxy_total_increasing_on_500_points(self):
-        table = polydata.PXY_PLUS + polydata.PXY_MINUS
+        table = _table("PXY_plus") + _table("PXY_minus")
         for y in np.linspace(1.0, 10.0, 500):
             assert eval_table(table, float(y), order=1) > 0
 
     def test_fxy_weighted_decreasing_near_one(self):
         for y in np.linspace(1.001, 1.2, 120):
-            assert eval_table(polydata.FXY_WEIGHTED, float(y), order=1) < 0
+            assert eval_table(_table("FXY_weighted"), float(y), order=1) < 0
 
     def test_positivity_margins_hold_out_to_ten(self):
-        pxy = polydata.PXY_PLUS + polydata.PXY_MINUS
-        pab = polydata.PAB_PLUS + polydata.PAB_MINUS
+        pxy = _table("PXY_plus") + _table("PXY_minus")
+        pab = _table("PAB_plus") + _table("PAB_minus")
         for y in np.linspace(1.1, 10.0, 300):
             y = float(y)
             tail = 16 * y * (44 * math.pi + 18 + 36 * y) * math.exp(-4 * math.pi * y)
@@ -432,13 +435,14 @@ class TestAppendixTables:
             assert eval_table(pab, y) - tail > 0
 
     def test_generated_tables_match_their_derivation(self):
-        # polydata.py is generated; a hand edit or a changed derivation shows here
+        # the exact runtime derivation against the tool's sympy expansion,
+        # which is itself checked against the printed tables
         pytest.importorskip("sympy")
         path = pathlib.Path(__file__).resolve().parent.parent / "tools" / "derive_poly_tables.py"
         spec = importlib.util.spec_from_file_location("derive_poly_tables", path)
         script = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(script)
-        assert script.render().encode() == pathlib.Path(polydata.__file__).read_bytes()
+        assert verifier._tables() == script.derive()
 
 
 # ---------------------------------------------------------------------------

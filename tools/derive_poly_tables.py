@@ -1,17 +1,21 @@
 #!/usr/bin/env python3
-"""Derive the appendix exponential-polynomial tables and emit polydata.py.
+"""Check the appendix exponential-polynomial tables against the printed ones.
 
 The weighted Wronskians of the truncated theta-product series
 
     P_XY = (16y/pi) e^{pi y/4} (Ya'' Xa' - Xa'' Ya')
-    F_XY = (512y^4/pi) e^{pi y/4} (Ya'''' Xa'' - Ya'' Xa'''')
+    F_XY = (512y^4/pi) e^{pi y/4} (Ya Xa - Ya Xa)
     P_AB = (4y/pi) e^{pi y/2} (Ba'' Aa' - Aa'' Ba')
-    F_AB = (32y^4/pi) e^{pi y/2} (Ba'''' Aa'' - Ba'' Aa'''')
+    F_AB = (32y^4/pi) e^{pi y/2} (Ba Aa - Ba Aa)
 
-collapse to finite sums of monomials  c * pi^p * y^q * e^{-r pi y}.  This
-script expands them with sympy, verifies the result term by term against
-the printed tables (transcribed below), and writes the term tuples to
-src/latticetheta/polydata.py.
+collapse to finite sums of monomials  c * pi^p * y^q * e^{-r pi y}.  The
+package derives them exactly on first use (``verifier._tables``) from the
+approximant term lists in src/latticetheta/polydata.py.  This script
+expands the same Wronskians with sympy, verifies the result term by term
+against the printed tables (transcribed below) and against frozen
+reference values, and writes nothing.  ``derive()`` returns the checked
+tables by ``appendix_poly``'s names; a test holds the package's tables
+equal to them.
 
 Known discrepancies, asserted explicitly rather than silently patched:
   * printed F_XY rate-4 group has 1465533 pi^4 y^4 where the expansion
@@ -19,43 +23,31 @@ Known discrepancies, asserted explicitly rather than silently patched:
   * printed F_XY rate-5 group has the garbled monomial "-140064 pi 64 y^4"
     where the expansion gives -1400640 pi^4 y^4 (a dropped digit);
   * the printed F_AB table is the Wronskian of a 5-term variant of Aa that
-    omits the 4 e^{-4 pi y} monomial; both the printed variant and the
-    6-term one are emitted (FAB_WEIGHTED / FAB_DERIVED).
+    omits the 4 e^{-4 pi y} monomial (AA_MONOMIALS_5TERM); the 6-term
+    Wronskian is checked against its frozen value only.
 
 Run from the repository root:  python3 tools/derive_poly_tables.py
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import pathlib
 import sys
 
 import sympy as sp
 
+# the package's term lists, read from the checkout this script sits in
+_spec = importlib.util.spec_from_file_location(
+    "polydata", pathlib.Path(__file__).resolve().parent.parent / "src" / "latticetheta" / "polydata.py"
+)
+polydata = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(polydata)
+XA_TERMS, YA_TERMS, BA_TERMS = polydata.XA_TERMS, polydata.YA_TERMS, polydata.BA_TERMS
+AA_MONOMIALS, AA_MONOMIALS_5TERM = polydata.AA_MONOMIALS, polydata.AA_MONOMIALS_5TERM
+
 y = sp.Symbol("y", positive=True)
-
-# approximate series parts: (rate in quarters of pi*y, integer coefficient),
-# each standing for coeff * sqrt(y) * exp(-rate*pi*y/4)
-XA_TERMS = ((0, 1), (4, 4), (8, 4), (16, 4))
-YA_TERMS = ((0, 1), (1, 2), (4, 4), (5, -4), (8, 4), (9, 2), (13, -4), (16, 4))
-AA_MONOMIALS = ((0, 1), (2, 2), (8, 4), (10, 4), (16, 4), (18, 2))
-AA_MONOMIALS_5TERM = ((0, 1), (2, 2), (8, 4), (10, 4), (18, 2))  # drops 4 e^{-4 pi y}
-BA_TERMS = ((2, 2), (4, -4), (10, 4), (18, 2))
-
-# The source's printed constants and the verifier's suite names, emitted with
-# the tables so that the CLI reads them without importing numpy.
-STATED_VALUES = {
-    "rho1": 0.04016680351,
-    "rho2": 1.190861337,
-    "sigma2b": 24.89618074,
-    "alpha0": 0.1726645,
-    "theta_alpha0": 1.186248384,
-    "alpha0_rough_bound": 0.2419435012,
-    "alpha1": 0.3732155067,
-    "alpha2": 0.9256496973,
-}
-SUITES = ("identities", "thresholds", "appendix", "oracle", "all")
 
 
 def series_expr(terms):
@@ -268,8 +260,8 @@ def assert_close(name, got, want, rel=1e-9):
     print(f"  {name}: {got:.12g} OK")
 
 
-def render() -> str:
-    """Expand and check the tables, and return the text of polydata.py."""
+def derive():
+    """Expand and check the tables, and return them by appendix_poly's names."""
     xa, ya = series_expr(XA_TERMS), series_expr(YA_TERMS)
     aa, aa5 = series_expr(AA_MONOMIALS), series_expr(AA_MONOMIALS_5TERM)
     ba = series_expr(BA_TERMS)
@@ -292,18 +284,17 @@ def render() -> str:
     check("F_AB (5-term variant)", fab5, PRINTED_FAB)
 
     tables = {
-        "PXY_PLUS": table_tuple(pxy_plus),
-        "PXY_MINUS": table_tuple(pxy_minus),
-        "FXY_WEIGHTED": table_tuple(fxy),
-        "PAB_PLUS": table_tuple(pab_plus),
-        "PAB_MINUS": table_tuple(pab_minus),
-        "FAB_WEIGHTED": table_tuple(fab5),
-        "FAB_DERIVED": table_tuple(fab6),
+        "PXY_plus": table_tuple(pxy_plus),
+        "PXY_minus": table_tuple(pxy_minus),
+        "PAB_plus": table_tuple(pab_plus),
+        "PAB_minus": table_tuple(pab_minus),
+        "FXY_weighted": table_tuple(fxy),
+        "FAB_weighted": table_tuple(fab5),
     }
 
     print("checking frozen margin values ...")
-    pxy_all = tables["PXY_PLUS"] + tables["PXY_MINUS"]
-    pab_all = tables["PAB_PLUS"] + tables["PAB_MINUS"]
+    pxy_all = tables["PXY_plus"] + tables["PXY_minus"]
+    pab_all = tables["PAB_plus"] + tables["PAB_minus"]
     assert_close(
         "pxy_margin_1p1",
         evaluate(pxy_all, 1.1)
@@ -311,7 +302,7 @@ def render() -> str:
         FROZEN["pxy_margin_1p1"],
     )
     assert_close(
-        "pxy_minus_deriv_2p2", evaluate(tables["PXY_MINUS"], 2.2, 1), FROZEN["pxy_minus_deriv_2p2"]
+        "pxy_minus_deriv_2p2", evaluate(tables["PXY_minus"], 2.2, 1), FROZEN["pxy_minus_deriv_2p2"]
     )
     assert_close(
         "pab_margin_1p05",
@@ -320,57 +311,13 @@ def render() -> str:
         FROZEN["pab_margin_1p05"],
     )
     assert_close(
-        "pab_minus_deriv_1p82", evaluate(tables["PAB_MINUS"], 1.82, 1), FROZEN["pab_minus_deriv_1p82"]
+        "pab_minus_deriv_1p82", evaluate(tables["PAB_minus"], 1.82, 1), FROZEN["pab_minus_deriv_1p82"]
     )
-    assert_close("fxy_1p11", evaluate(tables["FXY_WEIGHTED"], 1.11), FROZEN["fxy_1p11"])
-    assert_close("fab_printed_1p12", evaluate(tables["FAB_WEIGHTED"], 1.12), FROZEN["fab_printed_1p12"])
-    assert_close("fab_derived_1p12", evaluate(tables["FAB_DERIVED"], 1.12), FROZEN["fab_derived_1p12"])
-
-    lines = [
-        '"""Exponential-polynomial tables for the weighted Wronskian bounds.',
-        "",
-        "Generated by tools/derive_poly_tables.py; do not edit by hand.",
-        "",
-        "Term encoding: (rate_quarters, pi_pow, y_pow, coeff) stands for the",
-        "monomial  coeff * pi**pi_pow * y**y_pow * exp(-rate_quarters*pi*y/4).",
-        "Series terms: (rate_quarters, coeff) stands for",
-        "coeff * sqrt(y) * exp(-rate_quarters*pi*y/4).",
-        "",
-        "FAB_WEIGHTED reproduces the table as printed (whose derivation drops",
-        "the 4*exp(-4*pi*y) monomial of the A-series approximant); FAB_DERIVED",
-        "keeps all six monomials.  FXY_WEIGHTED corrects two misprints",
-        "(1465536 for 1465533, and -1400640*pi**4*y**4 for a garbled monomial).",
-        "",
-        "STATED_VALUES are the source's printed constants (the thresholds suite",
-        "and command) and SUITES the names run_suite accepts; this module",
-        "imports nothing, so the CLI reads them without loading numpy.",
-        '"""',
-        "",
-    ]
-    for name, terms in tables.items():
-        lines.append(f"{name} = (")
-        for t in terms:
-            lines.append(f"    {t},")
-        lines.append(")")
-        lines.append("")
-    for name, terms in [
-        ("XA_TERMS", XA_TERMS),
-        ("YA_TERMS", YA_TERMS),
-        ("AA_MONOMIALS", AA_MONOMIALS),
-        ("BA_TERMS", BA_TERMS),
-    ]:
-        lines.append(f"{name} = {tuple(terms)!r}")
-    lines += ["", "STATED_VALUES = {"]
-    lines += [f'    "{key}": {value!r},' for key, value in STATED_VALUES.items()]
-    lines += ["}", f"SUITES = {SUITES!r}", ""]
-    return "\n".join(lines)
-
-
-def main():
-    out = pathlib.Path(__file__).resolve().parent.parent / "src" / "latticetheta" / "polydata.py"
-    out.write_text(render())
-    print(f"wrote {out}")
+    assert_close("fxy_1p11", evaluate(tables["FXY_weighted"], 1.11), FROZEN["fxy_1p11"])
+    assert_close("fab_printed_1p12", evaluate(tables["FAB_weighted"], 1.12), FROZEN["fab_printed_1p12"])
+    assert_close("fab_derived_1p12", evaluate(table_tuple(fab6), 1.12), FROZEN["fab_derived_1p12"])
+    return tables
 
 
 if __name__ == "__main__":
-    main()
+    derive()
