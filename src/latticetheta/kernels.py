@@ -20,6 +20,9 @@ This module is the numerical foundation of the package.  It evaluates
   displacement and grid.  The shifted theta is the index-2 sublattice sum
   ``theta(s; (z+1)/2) = [theta(s/2; z) + J(s/2; z; 1/2, 1/2)] / 2`` from one
   pass at ``z``; each term's tail is at most the tolerance, so the half sum's is.
+  The same pass gives J's z-jet (value, gradient, Hessian in z) from row moments
+  up to ``d^4``, mapped back through the reduction by Wirtinger forms and certified
+  by the same Gaussian bound with a degree-4 weight in ``sqrt(Q)``.
 
 Every series is truncated only once a bound certifies the discarded tail
 below the requested tolerance; ``tail_bound`` exposes the bounds themselves,
@@ -334,7 +337,7 @@ def _reduce_point(z: HalfPlanePoint, ctx: Any):
     return (u * q + A * C * y * y) / den, y / den, (A, k * A - B, C, k * C - D)
 
 
-def _lattice_tail(r2: float, s: float, x: float, y: float, order: int, L: tuple) -> float:
+def _lattice_tail(r2: float, s: float, x: float, y: float, order: int, L: tuple, dz=False) -> float:
     """Bound on what :func:`_lattice_sum` discards at the reduced point when it
     keeps ``Q = alpha m^2 + beta d^2 <= r2`` (``alpha = s pi y``, ``beta = pi y/s``).
 
@@ -346,14 +349,24 @@ def _lattice_tail(r2: float, s: float, x: float, y: float, order: int, L: tuple)
     ``t e^{-u^2}``, ``t(c) = 1 + sqrt(pi/c)/2``: each of the ``2R/sqrt(alpha) + 1``
     rows with ``alpha m^2 <= r2`` drops at most ``2 t(beta') e^{-(1-eps) r2}``
     and the rows beyond ``4 t(alpha') t(beta') e^{-(1-eps) r2}``.  Scaled by
-    ``sqrt(y/s)`` and the chain rule's largest gain through ``L``."""
-    growth = max(abs(L[0]) + abs(L[2]), abs(L[1]) + abs(L[3])) ** order
+    ``sqrt(y/s)`` and the chain rule's largest gain through ``L``.
+
+    With ``dz``, for the z-jet: a term's (x, y)-factors (``2 pi m d`` and ``(1/2 - Q)/y``,
+    ``|m d| <= Q/(2 pi y)``) keep the partials of order <= 2 within ``((Q + 1)/y + 1)^2``,
+    degree 4 in ``sqrt(Q)``, and the Wirtinger map back to z gains at most ``3 (1 + |g'|^2
+    + |g''|)``, ``g' = e^2``, ``g'' = -2 l2 e^3``, ``e = l0 - l2 z'``."""
+    if dz:
+        e = abs(complex(L[0] - L[2] * x, -L[2] * y))
+        order, growth = 4, 3.0 * (1.0 + e * e * e * e + 2.0 * abs(L[2]) * e * e * e)
+    else:
+        growth = max(abs(L[0]) + abs(L[2]), abs(L[1]) + abs(L[3])) ** order
     if r2 <= order / 2 or growth > 1.7976931348623157e308:  # or the gain passes every float
         return math.inf
     alpha, beta = s * math.pi * y, math.pi * y / s
     R, shrink = math.sqrt(r2), 1.0 - order / (2.0 * r2)
     c = 2.0 * math.pi * math.sqrt(max(1.0, x * x) / alpha + (y / s) ** 2 / beta)
     weight = (c * R + math.sqrt(2.0 * math.pi * y / s)) ** order
+    weight = ((r2 + 1.0) / y + 1.0) ** 2 if dz else weight
     t = lambda rate: 1.0 + 0.5 * math.sqrt(math.pi / (shrink * rate))
     rows = 2.0 * R / math.sqrt(alpha) + 1.0 + 2.0 * t(alpha)
     return math.sqrt(y / s) * growth * weight * 2.0 * t(beta) * rows * math.exp(-r2)
@@ -372,7 +385,8 @@ def _least_r2(tail, r2: float, r2_cap: float, trunc: SeriesTruncation, what) -> 
 
 
 def _lattice_sum(
-    s: float, z: HalfPlanePoint, shifts: tuple, order: int, trunc: SeriesTruncation, ctx: Any
+    s: float, z: HalfPlanePoint, shifts: tuple, order: int, trunc: SeriesTruncation, ctx: Any,
+    dz: bool = False,
 ) -> list:
     """For each displacement ``(a, b)`` of ``shifts``, the partials of total ``order``
     (0..2), by ``b``-order, of
@@ -388,7 +402,8 @@ def _lattice_sum(
     One reduction, one ellipse (the bound does not read ``(a, b)``) and one row loop serve
     all displacements.  Binary64 adds each term to its row's sums in index order; another
     backend forms ``L (a, b)`` in its own precision, and the Gaussians and each row's
-    phases by recurrence.
+    phases by recurrence.  With ``dz`` (and ``order`` 2) it returns, at fixed ``(a, b)``, the
+    z-jet ``(J, J_x, J_y, J_xx, J_xy, J_yy)`` instead, from the row moments up to ``d^4``.
     """
     xr, yr, L = _reduce_point(z, ctx)
     l0, l1, l2, l3 = L
@@ -398,8 +413,8 @@ def _lattice_sum(
     # the ellipse fits the index box |m|, |d| <= max_index; the start covers
     # the bound's polynomial prefactor at most points
     r2_cap = trunc.max_index**2 * min(alpha, beta)
-    start = 4.0 + 4.5 * order - math.log(float(trunc.tail_tol))
-    tail = lambda r2: _lattice_tail(r2, sf, xf, yf, order, L)
+    start = 4.0 + 4.5 * (4 if dz else order) - math.log(float(trunc.tail_tol))
+    tail = lambda r2: _lattice_tail(r2, sf, xf, yf, order, L, dz)
     r2 = _least_r2(tail, start, r2_cap, trunc, lambda: f"lattice sum (s={s}, z=({z.x}, {z.y}))")
 
     # Row m keeps |d| <= sqrt((r2 - alpha m^2) / beta).  A term's partials in a and b
@@ -418,9 +433,9 @@ def _lattice_sum(
         else:  # e^{-h (d + 1)^2 / 2} = e^{-h d^2 / 2} r, r = e^{-h (d + 1/2)}, r gains e^{-h}
             rs = accumulate(repeat(exp(-h), len(ds)), mul, initial=exp(-h * (t + j0 + 0.5)))
             gd = [list(accumulate(rs, mul, initial=exp(-h * (t + j0) ** 2 / 2)))[: len(ds)]]
-        for _ in range(order):
+        for _ in range(4 if dz else order):  # the z-jet's moments run to d^4
             gd.append([w * d for w, d in zip(gd[-1], ds)])
-        grids.append((ar, t, float(t), j0, ds, gd, [0] * (order + 1)))  # and its sums by b'-order
+        grids.append((ar, t, float(t), j0, ds, gd, [0] * (6 if dz else order + 1)))  # and its sums
     q = -s * pi * yr
     for m in range(int(math.sqrt(r2 / alpha)) + 1):
         rm = math.sqrt((r2 - alpha * m * m) / beta)
@@ -445,7 +460,12 @@ def _lattice_sum(
                 phis = [U * (ar - xr * d) for d in ds[lo:hi]]
                 runs = [list(map(cos, phis)), list(map(sin, phis))]
                 M = [sum(map(mul, g[lo:hi], runs[(p + order) % 2])) for p, g in enumerate(gd)]
-            if order == 1:
+            if dz:  # F's (x, y)-partials: a term's factors -i U d and c - pi d^2/s
+                c0, s1, c2, s3, c4 = M
+                c, k = 0.5 / yr - s * pi * m * m, pi / s
+                M = (c0, U * s1, c * c0 - k * c2, -U * U * c2, U * (c * s1 - k * s3),
+                     (c * c - 0.5 / (yr * yr)) * c0 - 2 * c * k * c2 + k * k * c4)
+            elif order == 1:
                 M = -U * M[0], V * M[0] - h * M[1]
             elif order == 2:
                 c0, s1, c2 = M
@@ -455,10 +475,17 @@ def _lattice_sum(
                 acc[p] += weight * r
 
     # chain rule back to (a, b): d/da = l0 d/da' + l2 d/db', d/db = l1 d/da' + l3 d/db'
+    # or, for the z-jet, Wirtinger forms through z' = g(z): f_z = F_w g', f_zz = F_ww g'^2 + F_w g''
+    # and f_zzbar = F_wwbar |g'|^2, with g' = e^2, g'' = -2 l2 e^3, e = l0 - l2 z' (1/(C z + D))
     root, out = ctx.sqrt(yr / s), []
     for *_, acc in grids:
         G = [root * v for v in acc]
-        if order == 1:
+        if dz:
+            (f, fx, fy, fxx, fxy, fyy), e = G, l0 - l2 * (xr + 1j * yr)
+            fw, lap = (fx - 1j * fy) / 2, (fxx + fyy) / 2 * abs(e) ** 4
+            fz, fzz = fw * e * e, (fxx - fyy - 2j * fxy) / 4 * e**4 - 2 * l2 * fw * e**3
+            G = f, 2 * fz.real, -2 * fz.imag, 2 * fzz.real + lap, -2 * fzz.imag, lap - 2 * fzz.real
+        elif order == 1:
             G = l0 * G[0] + l2 * G[1], l1 * G[0] + l3 * G[1]
         elif order == 2:
             G = (l0 * l0 * G[0] + 2 * l0 * l2 * G[1] + l2 * l2 * G[2],

@@ -31,13 +31,14 @@ from .functionals import (
     xyab,
     XYABKind,
 )
-from .halfplane import cayley
+from .halfplane import GroupId, cayley, reduce
 from .kernels import (
     DEFAULT_TRUNCATION,
     DomainError,
     HalfPlanePoint,
     SeriesTruncation,
     TruncationError,
+    _lattice_sum,
     theta2d,
 )
 from .polydata import STATED_VALUES, SUITES
@@ -278,6 +279,7 @@ def _w_grid(kind: FunctionalKind, rho: float, xs: np.ndarray, ys: np.ndarray) ->
 
 _Y_CEIL = 3.5
 _Y_CLIP = 0.25
+_NEWTON_STEPS = 12
 
 
 class _BruteGrids(NamedTuple):
@@ -302,13 +304,34 @@ def _brute_grids(kind: FunctionalKind, grid_n: int) -> _BruteGrids:
     return _BruteGrids(xgrid, ygrid, step, *_w_parts(kind, xgrid, ygrid))
 
 
+def _w_jet(kind: FunctionalKind, rho: float, z: HalfPlanePoint, trunc: SeriesTruncation) -> list:
+    """(W, W_x, W_y, W_xx, W_xy, W_yy) at z from one z-jet pass, W as :func:`w_eval` forms it."""
+    s = 1 if kind is FunctionalKind.W1 else 0.5
+    plain, half = _lattice_sum(s, z, ((0, 0), (0.5, 0.5)), 2, trunc, math, True)
+    return [(p + q) / 2 + rho * (s * p) for p, q in zip(plain, half)]
+
+
 def _grid_descent(
     kind: FunctionalKind, rho: float, grids: _BruteGrids, trunc: SeriesTruncation
 ) -> Tuple[HalfPlanePoint, float]:
-    """Seed at the grid argmin of shifted + rho * plain, then descend to a step of
-    1e-9, keeping this descent's values (each move's opposite probe is the last point)."""
+    """Seed at the grid argmin of shifted + rho * plain, then take Newton steps on W's
+    z-jet (:func:`_w_jet`), each iterate folded back into D_G2 by W's own group
+    (``halfplane.reduce(z, GroupId.G2)``), and stop once the step is below its rounding
+    bound: a jet entry is off by far less than 2^-40 |W|, the step by that times
+    ``|H^-1| <= tr H / det H``.  Where the Hessian is not positive definite (or the steps
+    run out), a coordinate descent from the seed halves its step down to 1e-9."""
     flat = int(np.argmin(grids.shifted + rho * grids.plain))
     x, y = float(grids.xgrid.flat[flat]), float(grids.ygrid.flat[flat])
+    z = HalfPlanePoint(x, y)
+    for _ in range(_NEWTON_STEPS):
+        w, wx, wy, wxx, wxy, wyy = _w_jet(kind, rho, z, trunc)
+        det = wxx * wyy - wxy * wxy
+        if not (wxx > 0 and det > 0):
+            break
+        dx, dy = (wxy * wy - wyy * wx) / det, (wxy * wx - wxx * wy) / det
+        if max(abs(dx), abs(dy)) <= 2.0**-40 * abs(w) * (wxx + wyy) / det:
+            return z, w
+        z = reduce(HalfPlanePoint(z.x + dx, z.y + dy), GroupId.G2)[0]
 
     def project(px: float, py: float) -> Tuple[float, float]:
         px = min(max(px, 0.0), 1.0)
@@ -342,12 +365,12 @@ def brute_minimize(
     """Grid-minimize W over the closed fundamental half-strip, then refine.
 
     The mesh covers x in [0, 1], y from the unit circle (clipped below at
-    0.25) up to 3.5; the best node seeds a coordinate descent with halving
-    steps down to 1e-9, projected back into the region, using the certified
-    scalar evaluator once per point.  The theta grids (a stated 1e-16 tail
-    bound, each point summing its own window) do not depend on rho (W =
-    shifted + rho * plain); a single call builds them for its one weight,
-    while the oracle suite builds them once per kind for every weight.
+    0.25) up to 3.5; the best node seeds Newton steps on W's certified z-jet,
+    one lattice pass each, folded back into D_G2 (:func:`_grid_descent`; a
+    coordinate descent where the Hessian is indefinite).  The theta grids (a
+    stated 1e-16 tail bound, each point summing its own window) do not depend
+    on rho (W = shifted + rho * plain); a single call builds them for its one
+    weight, while the oracle suite builds them once per kind for every weight.
     """
     return _grid_descent(kind, rho, _brute_grids(kind, grid_n), trunc)
 

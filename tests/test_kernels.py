@@ -292,6 +292,54 @@ def plain_sum(s, x, y, a=0.0, b=0.0, da=0, db=0):
         return float(direct_sum(s, x, y, a, b, da, db))
 
 
+def z_jet_sum(s, x, y, a=0, b=0, cut=60):
+    """(J, J_x, J_y, J_xx, J_xy, J_yy) of J(s; z; a, b) in z = x + iy as plain double sums of
+    each term's analytic partials, at 30 digits, with the rows and windows of
+    :func:`direct_sum`.  A term is e^{-E} cos(2 pi (m a + n b)), E = s pi (d^2/y + m^2 y),
+    d = m x - n, and its partials are those of e^{-E}."""
+    with mp.workdps(30):
+        x, y, a, b = mp.mpf(x), mp.mpf(y), mp.mpf(a), mp.mpf(b)
+        reach, c = cut / (s * mp.pi), s * mp.pi
+        rows, spread = int(mp.sqrt(reach / y)) + 1, int(mp.sqrt(reach * y)) + 1
+        jet = [mp.mpf(0)] * 6
+        for m in range(-rows, rows + 1):
+            centre = int(mp.nint(m * x))
+            for n in range(centre - spread, centre + spread + 1):
+                d = m * x - n
+                ex, ey = 2 * c * m * d / y, c * (m * m - d * d / y**2)
+                exx, exy, eyy = 2 * c * m * m / y, -2 * c * m * d / y**2, 2 * c * d * d / y**3
+                w = mp.exp(-c * (d * d / y + m * m * y)) * mp.cos(2 * mp.pi * (m * a + n * b))
+                for i, f in enumerate((1, -ex, -ey, ex * ex - exx, ex * ey - exy, ey * ey - eyy)):
+                    jet[i] += w * f
+        return [float(v) for v in jet]
+
+
+def assert_jet_close(got, want, rel=1e-10):
+    """Each order's partials within ``rel`` of that order's largest reference, or of the
+    value where a gradient vanishes by symmetry."""
+    for lo, hi in ((0, 1), (1, 3), (3, 6)):
+        scale = max(abs(v) for v in want[:1] + want[lo:hi])
+        for i in range(lo, hi):
+            assert abs(got[i] - want[i]) <= rel * scale, (i, got, want)
+
+
+# one point of each class of L(1/2, 1/2) mod 1, tiny and large y, |x| = 3 and z = i;
+# 2.2821+0.177i, -1.7+0.1i and 0.2+0.05i reduce with C != 0
+Z_JET_POINTS = [
+    (0.3, 1.4), (2.2821, 0.177), (-1.7, 0.1), (0.2, 0.05), (0.2, 20.0), (3.0, 0.8), (-3.0, 1.3),
+    (0.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("x,y", Z_JET_POINTS)
+def test_lattice_z_jets_match_30_digit_sums(x, y):
+    # theta(s; z) at s = 1/2, 1, 2 and J(z; a, b) at a general and the midpoint displacement
+    z = HalfPlanePoint(x, y)
+    for s, a, b in [(0.5, 0, 0), (1, 0, 0), (2, 0, 0), (1, 0.23, 0.61), (1, 0.5, 0.5)]:
+        (got,) = kernels._lattice_sum(s, z, ((a, b),), 2, DEFAULT_TRUNCATION, math, True)
+        assert_jet_close(got, z_jet_sum(s, x, y, a, b))
+
+
 # far below the fundamental domain, far above it, and far to either side
 EXTREME_POINTS = [
     (0.3, 1e-3, 0.23, 0.61),
@@ -557,6 +605,21 @@ def test_table_tail_bound_dominates_actual_error():
                 bound = kernels._table_tail(r2, xr, yr, L)
                 for order in (0, 1, 2):
                     assert float(table_discarded(z, r2, order)) <= bound, (x, y, r2, order)
+
+
+def test_z_jet_tail_bound_dominates_actual_error(monkeypatch):
+    # the jet summed on a forced ellipse r2 against 30-digit sums of every term: off by no
+    # more than the z-jet bound there; all but 0.3+1.4i reduce with C != 0
+    points = [(0.3, 1.4, 1, 0, 0), (2.2821, 0.177, 0.5, 0.5, 0.5), (3.7, 0.05, 1, 0.23, 0.61),
+              (-1.7, 0.1, 2, 0, 0)]
+    for x, y, s, a, b in points:
+        z, want = HalfPlanePoint(x, y), z_jet_sum(s, x, y, a, b)
+        xr, yr, L = kernels._reduce_point(z, math)
+        for r2 in (4.0, 10.0, 25.0):
+            monkeypatch.setattr(kernels, "_least_r2", lambda *args: r2)
+            (got,) = kernels._lattice_sum(s, z, ((a, b),), 2, DEFAULT_TRUNCATION, math, True)
+            bound = kernels._lattice_tail(r2, s, xr, yr, 2, L, True)
+            assert max(abs(g - w) for g, w in zip(got, want)) <= bound, (x, y, r2)
 
 
 def test_tail_bound_rejects_bad_input():
