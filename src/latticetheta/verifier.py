@@ -231,7 +231,7 @@ def bound_kit(X: float, x: float, y: float) -> BoundKit:
 # brute-force minimization oracle
 
 
-_GRID_TOL, _GRID_MAX_INDEX = 1e-16, 100
+_GRID_TOL, _GRID_MAX_INDEX, _GRID_BANDS = 1e-16, 100, 16
 
 
 def _gauss_cut(c: float, scale: float, offset: float) -> int:
@@ -245,22 +245,40 @@ def _gauss_cut(c: float, scale: float, offset: float) -> int:
     raise TruncationError(f"theta grid tail not certified in {_GRID_MAX_INDEX} terms", bound)
 
 
-def _theta_grid(s: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """theta(s; x+iy) on a grid to 1e-16: rows 0 <= m <= M (doubled for m > 0, as
-    (m, n) ~ (-m, -n)) of e^{-s pi m^2 y} times e^{-s pi d^2/y} over each point's own
-    window d = mx - rint(mx) + j, |j| <= J.  Row sums are at most 1 + sqrt(y/s) and
-    column sums 1 + 1/sqrt(s y), so over the grid's [y_lo, y_hi] M and J leave at most
-    _GRID_TOL / 2 each (:func:`_gauss_cut`); theta >= 1 makes that relative too."""
+def _cuts(s: float, ys: np.ndarray) -> Tuple[int, int]:
     y_lo, y_hi = float(np.min(ys)), float(np.max(ys))
     if not (y_lo > 0 and math.isfinite(y_hi)):
         raise DomainError(f"theta grid needs 0 < y < inf, got y in [{y_lo}, {y_hi}]")
     rows = _gauss_cut(s * y_lo, 2 * (1 + math.sqrt(y_hi / s)), 1.0)
-    half = _gauss_cut(s / y_hi, 2 * (1 + 1 / math.sqrt(s * y_lo)), 0.5)
-    total, rate = 0.0, -s * math.pi / ys
-    for m in range(rows, -1, -1):
-        f = m * xs - np.rint(m * xs)
-        row = sum(np.exp(rate * (f + j) ** 2) for j in range(-half, half + 1))
-        total += (2 if m else 1) * np.exp(-s * math.pi * m * m * ys) * row
+    return rows, _gauss_cut(s / y_hi, 2 * (1 + 1 / math.sqrt(s * y_lo)), 0.5)
+
+
+def _theta_grid(s: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """theta(s; x+iy) on a grid to 1e-16: rows 0 <= m <= M (doubled for m > 0, as
+    (m, n) ~ (-m, -n)) of e^{-s pi m^2 y} times e^{-s pi d^2/y} over each point's own
+    window d = mx - rint(mx) + j, |j| <= J.  Row sums are at most 1 + sqrt(y/s) and column
+    sums 1 + 1/sqrt(s y), so over a band's [y_lo, y_hi] M and J leave at most _GRID_TOL / 2
+    each (:func:`_gauss_cut`; theta >= 1 makes that relative).  After a check of the whole
+    grid, each of _GRID_BANDS bands of rows along axis 0 takes its own (M, J).  Term (m, j)
+    is one op over rows [start_j:stop_m], from the first band with J >= |j| to the last with
+    M >= m: every band sums at least its own cut (the running maxima of M from below and of
+    J from above), whatever the order of y.  The cuts read ys alone: grids sharing ys (a
+    scan's x +- h) sum the same terms at every point."""
+    _cuts(s, ys)
+    edges = sorted({len(ys) * b // _GRID_BANDS for b in range(_GRID_BANDS + 1)})
+    rows, half = np.array([_cuts(s, ys[a:b]) for a, b in zip(edges, edges[1:])]).T
+    starts = [edges[np.flatnonzero(half >= j)[0]] for j in range(max(half) + 1)]
+    total, rate = np.zeros(ys.shape), -s * math.pi / ys
+    for m in range(max(rows), -1, -1):
+        stop = edges[1 + np.flatnonzero(rows >= m)[-1]]
+        f = m * xs[:stop] - np.rint(m * xs[:stop])
+        row = np.zeros(f.shape)
+        for j in range(-max(half), max(half) + 1):
+            start = starts[abs(j)]
+            d = f[start:] + j
+            d *= d
+            row[start:] += np.exp(np.multiply(rate[start:stop], d, out=d), out=d)
+        total[:stop] += (2 if m else 1) * np.exp(-s * math.pi * m * m * ys[:stop]) * row
     return total
 
 
@@ -368,10 +386,12 @@ def brute_minimize(
     0.25) up to 3.5; the best node seeds Newton steps on W's certified z-jet,
     one lattice pass each, folded back into D_G2 (:func:`_grid_descent`; a
     coordinate descent where the Hessian is indefinite).  The theta grids (a
-    stated 1e-16 tail bound, each point summing its own window) do not depend
-    on rho (W = shifted + rho * plain); a single call builds them for its one
-    weight, while the oracle suite builds them once per kind for every weight.
+    stated 1e-16 tail bound, cut per band of mesh rows) do not depend on rho
+    (W = shifted + rho * plain); a single call builds them for its one weight,
+    while the oracle suite builds them once per kind for every weight.
     """
+    if not 0 <= rho < math.inf:
+        raise DomainError(f"brute_minimize needs 0 <= rho < inf, got {rho}")
     return _grid_descent(kind, rho, _brute_grids(kind, grid_n), trunc)
 
 

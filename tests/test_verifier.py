@@ -177,57 +177,102 @@ class TestBoundKit:
 # brute-force minimization oracle
 
 
-def theta_30_digits(s, x, y, reach=25):
+def theta_30_digits(s, x, y, cut=120):
     """theta(s; x+iy) as a plain double sum at 30 digits, with no package code.
 
-    Rows |m| <= reach and, in each, the n with |mx + n| <= reach + 1/2; for
-    0.06 <= y <= 10 every omitted term is below e^{-120}.
+    Every (m, n) with s pi (m^2 y + (mx + n)^2 / y) <= cut: the rows with
+    s pi m^2 y <= cut and, in row m, the n within sqrt(y (cut / (s pi) - m^2 y))
+    of -mx.  At any y every omitted term is below e^{-cut}.
     """
+    xf, yf, reach = float(x), float(y), cut / (s * math.pi)
     with mpmath.workdps(30):
-        sm, xm, ym = mpmath.mpf(s), mpmath.mpf(x), mpmath.mpf(y)
-        total = mpmath.mpf(0)
-        for m in range(-reach, reach + 1):
-            c = int(round(m * x))
-            for n in range(-c - reach, -c + reach + 1):
-                total += mpmath.exp(-sm * mpmath.pi * ((m * xm + n) ** 2 / ym + m * m * ym))
+        xm, ym = mpmath.mpf(x), mpmath.mpf(y)
+        rate, total = s * mpmath.pi / ym, mpmath.mpf(0)
+        for m in range(-int(math.sqrt(reach / yf)), int(math.sqrt(reach / yf)) + 1):
+            w, mx, row = math.sqrt(max(yf * (reach - m * m * yf), 0.0)), m * xm, mpmath.mpf(0)
+            for n in range(math.ceil(-m * xf - w), math.floor(-m * xf + w) + 1):
+                row += mpmath.exp(-rate * (mx + n) ** 2)
+            total += mpmath.exp(-rate * (m * ym) ** 2) * row
         return total
 
 
-def _grid_samples(case):
-    """(s, x, y, grid value) at the points of the grids the oracle and the scans use."""
-    if case.startswith("oracle"):
-        kind = W1 if case == "oracle_W1" else W2
-        s_shift, s_plain = (2, 1) if kind is W1 else (1, 2)
-        grids = verifier._brute_grids(kind, 400)
-        samples = []
-        for i, j in ((0, 0), (0, -1), (-1, 0), (-1, -1)):  # the mesh corners
-            x, y = float(grids.xgrid[i, j]), float(grids.ygrid[i, j])
-            samples.append((s_shift, (x + 1) / 2, y / 2, grids.shifted[i, j]))
-            samples.append((s_plain, x, y, grids.plain[i, j]))
-        return samples
-    region, row = {"D_G2_top_row": ("D_G2", -1), "Omega_C1_lowest_row": ("Omega_C1", 0)}[case]
+def whole_grid_theta(s, xs, ys):
+    """theta(s; x+iy) on a grid with one (M, J) cut for every point, from the
+    grid's own [y_lo, y_hi]: _theta_grid's sum before it cut per band of rows."""
+    y_lo, y_hi = float(np.min(ys)), float(np.max(ys))
+    rows = verifier._gauss_cut(s * y_lo, 2 * (1 + math.sqrt(y_hi / s)), 1.0)
+    half = verifier._gauss_cut(s / y_hi, 2 * (1 + 1 / math.sqrt(s * y_lo)), 0.5)
+    total, rate = 0.0, -s * math.pi / ys
+    for m in range(rows, -1, -1):
+        f = m * xs - np.rint(m * xs)
+        row = sum(np.exp(rate * (f + j) ** 2) for j in range(-half, half + 1))
+        total += (2 if m else 1) * np.exp(-s * math.pi * m * m * ys) * row
+    return total
+
+
+def _oracle_mesh(grid_n, kind, shifted):
+    grids = verifier._brute_grids(kind, grid_n)
+    s_shift, s_plain = (2, 1) if kind is W1 else (1, 2)
+    if shifted:
+        return s_shift, (grids.xgrid + 1) / 2, grids.ygrid / 2
+    return s_plain, grids.xgrid, grids.ygrid
+
+
+def _scan_mesh(region, s, shifted):
     xs, ys = verifier._region_grid(region, 200)
-    grids = [(1, xs, ys)]
-    if region == "D_G2":
-        # the theta_shifted scan, and the plain thetas of the w1/w2 scans
-        grids = [(1, (xs + 1) / 2, ys / 2), (1, xs, ys), (2, xs, ys)]
-    samples = []
-    for s, gx, gy in grids:
-        values = verifier._theta_grid(s, gx, gy)
-        samples += [(s, float(gx[row, j]), float(gy[row, j]), values[row, j]) for j in (0, 100, 199)]
-    return samples
+    return (s, (xs + 1) / 2, ys / 2) if shifted else (s, xs, ys)
+
+
+# (s, xs, ys) of each mesh the oracle or a scan hands to _theta_grid, y rising down
+# axis 0: the oracle's four grids at two sizes; the theta_shifted scan and the plain
+# thetas of the w1/w2 scans on D_G2, and the theta scan on Omega_C1, at grid 200
+MESHES = {
+    f"oracle{n}_{kind.value}_{'shifted' if shifted else 'plain'}": (_oracle_mesh, n, kind, shifted)
+    for n in (100, 400)
+    for kind in (W1, W2)
+    for shifted in (True, False)
+}
+MESHES.update(
+    D_G2_shifted_s1=(_scan_mesh, "D_G2", 1, True),
+    D_G2_plain_s1=(_scan_mesh, "D_G2", 1, False),
+    D_G2_plain_s2=(_scan_mesh, "D_G2", 2, False),
+    Omega_C1_plain_s1=(_scan_mesh, "Omega_C1", 1, False),
+)
+
+
+def _mesh(name):
+    make, *args = MESHES[name]
+    return make(*args)
 
 
 class TestThetaGrid:
-    @pytest.mark.parametrize(
-        "case", ["oracle_W1", "oracle_W2", "D_G2_top_row", "Omega_C1_lowest_row"]
-    )
-    def test_theta_grid_matches_30_digit_sums(self, case):
-        # the oracle's mesh reaches y = 0.125 after the shift and 3.5 at the top; the
-        # scans reach y = 10 at the top and y = 0.0603 on Omega_C1's lowest row
-        for s, x, y, value in _grid_samples(case):
-            ref = theta_30_digits(s, x, y)
-            assert abs(value - ref) <= 1e-15 * ref, (s, x, y, float((value - ref) / ref))
+    @pytest.mark.parametrize("name", MESHES)
+    def test_theta_grid_matches_30_digit_sums(self, name):
+        # each band's first and last rows carry its least and largest y, where its
+        # (M, J) cut binds, three columns each; the oracle's meshes reach y = 0.125
+        # after the shift and 3.5 at the top, the scans' y = 10 at the top and 0.0603
+        # on Omega_C1's lowest row
+        s, xs, ys = _mesh(name)
+        values = verifier._theta_grid(s, xs, ys)
+        n = ys.shape[0]
+        edges = [n * b // verifier._GRID_BANDS for b in range(verifier._GRID_BANDS + 1)]
+        for lo, hi in zip(edges, edges[1:]):
+            for i in (lo, hi - 1):
+                for j in (0, ys.shape[1] // 2, -1):
+                    ref = theta_30_digits(s, float(xs[i, j]), float(ys[i, j]))
+                    err = (values[i, j] - ref) / ref
+                    assert abs(err) <= 1e-15, (name, i, j, float(err))
+
+    @pytest.mark.parametrize("name", MESHES)
+    def test_cut_does_not_rest_on_the_order_of_rows(self, name):
+        # with y falling down axis 0 the running maxima widen every band's cut; both
+        # orders give the one-cut sum to 1e-15 at every point
+        s, xs, ys = _mesh(name)
+        ref = whole_grid_theta(s, xs, ys)
+        forward = verifier._theta_grid(s, xs, ys)
+        reversed_rows = verifier._theta_grid(s, xs[::-1], ys[::-1])[::-1]
+        for got in (forward, reversed_rows):
+            assert np.max(np.abs(got - ref) / ref) <= 1e-15
 
     def test_theta_grid_rejects_what_it_cannot_certify(self):
         with pytest.raises(DomainError):
@@ -264,6 +309,12 @@ class TestBruteMinimize:
     def test_rejects_coarse_grids(self):
         with pytest.raises(DomainError):
             brute_minimize(W1, 1.0, grid_n=50)
+
+    @pytest.mark.parametrize("rho", [-1.0, math.nan, math.inf])
+    def test_rejects_a_weight_off_the_half_line_before_any_grid(self, rho, monkeypatch):
+        monkeypatch.setattr(verifier, "_theta_grid", lambda *args: pytest.fail("grid built"))
+        with pytest.raises(DomainError):
+            brute_minimize(W1, rho, grid_n=100)
 
     @pytest.mark.parametrize("kind, rho", [(W1, 0.05), (W1, 0.7), (W2, 10.0)])
     def test_descent_evaluates_each_point_once(self, kind, rho, monkeypatch):
