@@ -80,6 +80,8 @@ def parse_sweep(text: str, default_n: int = 256) -> List[float]:
         raise UsageError(f"sweep modifier must be 'log', got {parts[3]!r}")
     if n < 2:
         raise UsageError(f"sweep needs at least 2 points, got {n}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError(f"sweep bounds must be finite, got {lo} and {hi}")
     if not lo < hi:
         raise UsageError(f"sweep needs lo < hi, got {lo} and {hi}")
     if log:
@@ -162,9 +164,9 @@ def cmd_eval(args: argparse.Namespace) -> Tuple[List[Dict[str, Any]], int]:
 
 
 def cmd_thresholds(args: argparse.Namespace) -> Tuple[List[Dict[str, Any]], int]:
-    th = _thresholds(_truncation(args), _context(args))
-    # the two-component balance solver always runs in double precision
-    alpha0 = solve_alpha0(DEFAULT_TRUNCATION).alpha0
+    th = _thresholds(trunc := _truncation(args), ctx := _context(args))
+    # the two-component balance solver runs in double precision, there at the command's truncation
+    alpha0 = solve_alpha0(trunc if ctx is math else DEFAULT_TRUNCATION).alpha0
     alpha1, alpha2 = _band_edges(th)
     computed = dict(asdict(th), alpha0=alpha0, alpha1=alpha1, alpha2=alpha2)
     ref = STATED_VALUES
@@ -391,8 +393,9 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    for i in range(len(argv) - 1, 0, -1):  # argparse takes "-0.3+0.7i" for an option
-        if argv[i - 1] in ("--z", "--sweep") and argv[i].startswith("-"):
+    numeric = ("--z", "--sweep", "--s", "--rho", "--alpha", "--a", "--b", "--tol", "--grid")
+    for i in range(len(argv) - 1, 0, -1):  # argparse takes "-0.3+0.7i" or "-1e-3" for an option
+        if argv[i - 1] in numeric and argv[i].startswith("-"):
             argv[i - 1 : i + 1] = [argv[i - 1] + "=" + argv[i]]
     args = _parser().parse_args(argv)
     ctx = _context(args)

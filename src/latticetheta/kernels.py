@@ -163,11 +163,13 @@ def _series_tail(N: int, X: float, eps: float, p: int, k: int = 0) -> float:
     t_pos, t_neg = N + 0.5 + (0.5 + eps) % 1.0, N + 0.5 + (0.5 - eps) % 1.0
     for t in (t_pos,) if t_pos == t_neg else (t_pos, t_neg):
         a, b = math.pi * (t * t) * X, math.pi * (2 * t + 1) * X
+        if not (first := math.exp(-a)):  # the side underflows, and a or b may pass every float
+            continue
         ratio = ((t + 1) / t) ** q * math.exp(-b)
         if ratio >= 1.0:
             return math.inf
         slack = 1.0 + (a + 16.0 + ratio / (1.0 - ratio) * (b + 16.0)) * 2.0**-50
-        bound += slack * t**q * math.exp(-a) / (1.0 - ratio)
+        bound += slack * t**q * first / (1.0 - ratio)
     return math.pi**k * (2 if t_pos == t_neg else 1) * bound
 
 
@@ -187,8 +189,10 @@ def _theta_series(
     Xf, e = float(X), abs(float(eps))
     mirrored = e in (0.0, 0.5) and (p == 0 or Y != 0)
     tol = float(trunc.tail_tol) / scale
-    guess = math.ceil(math.sqrt(max(math.log((1 + mirrored) / tol), 0.0) / (math.pi * Xf)) - 1 + e)
-    N = min(max(1, guess), trunc.max_index)
+    if not tol > 0:  # the prefactor passes every float
+        raise TruncationError(f"1-D theta series (X={X}): prefactor {scale}", math.inf)
+    guess = math.sqrt(max(math.log((1 + mirrored) / tol), 0.0) / (math.pi * Xf)) - 1 + e
+    N = max(1, math.ceil(min(guess, trunc.max_index)))  # the guess may pass every float
     while (bound := _series_tail(N, Xf, float(eps), p, k)) > tol:
         if N == trunc.max_index:
             raise TruncationError(
@@ -311,7 +315,8 @@ def _reduce_point(z: HalfPlanePoint, ctx: Any):
 
     ``(A, B; C, D)`` is :func:`halfplane.reduce`'s Gamma matrix for ``z - k`` (``k`` the
     integer nearest ``x``), by its Gauss loop, boundary rules and sign on the integers alone
-    (TruncationError, bound inf, if ``|z|^2`` underflows); ``z'`` is formed in the backend.
+    (TruncationError, bound inf, if ``|z|^2`` or ``y'`` underflows or ``pi y'`` overflows);
+    ``z'`` is formed in the backend.
     ``n -> -n`` and renumbering ``(m, n)`` by the matrix give ``L = (A, B; C, D) (1, k; 0, -1)``."""
     k = math.floor(float(z.x) + 0.5)
     xf, yf, (A, B, C, D) = float(z.x) - k, float(z.y), (1, 0, 0, 1)
@@ -334,7 +339,9 @@ def _reduce_point(z: HalfPlanePoint, ctx: Any):
     else:
         u, q = A * x + B, C * x + D
     den = q * q + (C * y) ** 2
-    return (u * q + A * C * y * y) / den, y / den, (A, k * A - B, C, k * C - D)
+    if not 0 < math.pi * (yr := y / den) < math.inf:  # y' = 0: at tiny y the float loop lost z
+        raise TruncationError(f"reduction of z=({z.x}, {z.y}) gives y' = {yr}", math.inf)
+    return (u * q + A * C * y * y) / den, yr, (A, k * A - B, C, k * C - D)
 
 
 def _lattice_tail(r2: float, s: float, x: float, y: float, order: int, L: tuple, dz=False) -> float:
@@ -364,12 +371,16 @@ def _lattice_tail(r2: float, s: float, x: float, y: float, order: int, L: tuple,
         return math.inf
     alpha, beta = s * math.pi * y, math.pi * y / s
     R, shrink = math.sqrt(r2), 1.0 - order / (2.0 * r2)
-    c = 2.0 * math.pi * math.sqrt(max(1.0, x * x) / alpha + (y / s) ** 2 / beta)
-    weight = (c * R + math.sqrt(2.0 * math.pi * y / s)) ** order
-    weight = ((r2 + 1.0) / y + 1.0) ** 2 if dz else weight
     t = lambda rate: 1.0 + 0.5 * math.sqrt(math.pi / (shrink * rate))
-    rows = 2.0 * R / math.sqrt(alpha) + 1.0 + 2.0 * t(alpha)
-    return math.sqrt(y / s) * growth * weight * 2.0 * t(beta) * rows * math.exp(-r2)
+    try:  # a factor passes every float (** raises where * and / give inf), or a rate is 0
+        c = 2.0 * math.pi * math.sqrt(max(1.0, x * x) / alpha + (y / s) ** 2 / beta)
+        weight = (c * R + math.sqrt(2.0 * math.pi * y / s)) ** order
+        weight = ((r2 + 1.0) / y + 1.0) ** 2 if dz else weight
+        rows = 2.0 * R / math.sqrt(alpha) + 1.0 + 2.0 * t(alpha)
+        scale = math.sqrt(y / s) * growth * weight * 2.0 * t(beta) * rows
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+    return scale * math.exp(-r2) if scale < math.inf else math.inf  # never inf * 0 (NaN)
 
 
 def _least_r2(tail, r2: float, r2_cap: float, trunc: SeriesTruncation, what) -> float:
@@ -422,6 +433,8 @@ def _lattice_sum(
     # a row needs only its moments sum g d^p cos(phi), or sin(phi) where p + order is odd.
     pi, exp, cos, sin, ceil, floor = ctx.pi, ctx.exp, ctx.cos, ctx.sin, math.ceil, math.floor
     h, reach, grids = 2 * pi * yr / s, math.sqrt(r2 / beta), []
+    if order == 2 and not dz and not h * h < math.inf:  # else h^2 times a 0 moment is NaN
+        raise TruncationError(f"lattice sum (s={s}, z=({z.x}, {z.y})): h^2 = inf", math.inf)
     for a, b in shifts:
         a, b = (a, b) if ctx is math else (ctx.mpf(a), ctx.mpf(b))  # L mixes them in the backend
         ar, br = l0 * a + l1 * b, l2 * a + l3 * b
@@ -438,8 +451,8 @@ def _lattice_sum(
         grids.append((ar, t, float(t), j0, ds, gd, [0] * (6 if dz else order + 1)))  # and its sums
     q = -s * pi * yr
     for m in range(int(math.sqrt(r2 / alpha)) + 1):
-        rm = math.sqrt((r2 - alpha * m * m) / beta)
-        U, V, weight = 2 * pi * m, 2 * pi * m * xr, (2 if m else 1) * exp(q * m * m)
+        rm = math.sqrt((r2 - alpha * m * m if m else r2) / beta)  # alpha may be inf: no inf * 0
+        U, V, weight = 2 * pi * m, 2 * pi * m * xr, 2 * exp(q * m * m) if m else 1
         for ar, t, tf, j0, ds, gd, acc in grids:
             lo, hi = ceil(-rm - tf) - j0, floor(rm - tf) - j0 + 1
             if not m:  # row 0 has phase 0

@@ -336,13 +336,14 @@ def _grid_descent(
     z-jet (:func:`_w_jet`), each iterate folded back into D_G2 by W's own group
     (``halfplane.reduce(z, GroupId.G2)``), and stop once the step is below its rounding
     bound: a jet entry is off by far less than 2^-40 |W|, the step by that times
-    ``|H^-1| <= tr H / det H``.  Where the Hessian is not positive definite (or the steps
-    run out), a coordinate descent from the seed halves its step down to 1e-9."""
+    ``|H^-1| <= tr H / det H``.  Where the Hessian is not positive definite, or the
+    steps run out, return the iterate (the seed among them) with the least jet value W."""
     flat = int(np.argmin(grids.shifted + rho * grids.plain))
-    x, y = float(grids.xgrid.flat[flat]), float(grids.ygrid.flat[flat])
-    z = HalfPlanePoint(x, y)
+    z = HalfPlanePoint(float(grids.xgrid.flat[flat]), float(grids.ygrid.flat[flat]))
+    best = z, math.inf
     for _ in range(_NEWTON_STEPS):
         w, wx, wy, wxx, wxy, wyy = _w_jet(kind, rho, z, trunc)
+        best = (z, w) if w < best[1] else best
         det = wxx * wyy - wxy * wxy
         if not (wxx > 0 and det > 0):
             break
@@ -350,28 +351,7 @@ def _grid_descent(
         if max(abs(dx), abs(dy)) <= 2.0**-40 * abs(w) * (wxx + wyy) / det:
             return z, w
         z = reduce(HalfPlanePoint(z.x + dx, z.y + dy), GroupId.G2)[0]
-
-    def project(px: float, py: float) -> Tuple[float, float]:
-        px = min(max(px, 0.0), 1.0)
-        lo = max(math.sqrt(max(1.0 - px * px, 0.0)), _Y_CLIP)
-        return px, min(max(py, lo), _Y_CEIL)
-
-    @cache
-    def value_at(px: float, py: float) -> float:
-        return w_eval(kind, rho, HalfPlanePoint(px, py), trunc)
-
-    best = value_at(x, y)
-    step = grids.step
-    while step > 1e-9:
-        moved = False
-        for dx, dy in ((step, 0), (-step, 0), (0, step), (0, -step)):
-            px, py = project(x + dx, y + dy)
-            cand = value_at(px, py)
-            if cand < best - 1e-16:
-                x, y, best, moved = px, py, cand, True
-        if not moved:
-            step /= 2
-    return HalfPlanePoint(x, y), best
+    return best
 
 
 def brute_minimize(
@@ -384,10 +364,10 @@ def brute_minimize(
 
     The mesh covers x in [0, 1], y from the unit circle (clipped below at
     0.25) up to 3.5; the best node seeds Newton steps on W's certified z-jet,
-    one lattice pass each, folded back into D_G2 (:func:`_grid_descent`; a
-    coordinate descent where the Hessian is indefinite).  The theta grids (a
-    stated 1e-16 tail bound, cut per band of mesh rows) do not depend on rho
-    (W = shifted + rho * plain); a single call builds them for its one weight,
+    one lattice pass each, folded back into D_G2 (:func:`_grid_descent`; where the
+    Hessian is indefinite or the steps run out, the iterate with the least W).  The
+    theta grids (a stated 1e-16 tail bound, cut per band of mesh rows) do not depend
+    on rho (W = shifted + rho * plain); a single call builds them for its one weight,
     while the oracle suite builds them once per kind for every weight.
     """
     if not 0 <= rho < math.inf:
@@ -535,15 +515,17 @@ def _tables():
 
 
 def eval_table(terms, y: float, order: int = 0) -> float:
-    """Evaluate a (rate_quarters, pi_pow, y_pow, coeff) table or its y-derivative."""
+    """Evaluate a (rate_quarters, pi_pow, y_pow, coeff) table or its order-th y-derivative,
+    by Leibniz's rule on y^q e^{-a y} with (y^q)^(i) = q (q - 1) ... (q - i + 1) y^(q - i)."""
     total = 0.0
     for r, p, q, c in terms:
         rate = r * math.pi / 4.0
         base = c * math.pi**p * math.exp(-rate * y)
-        if order == 0:
-            total += base * y**q
-        else:
-            total += base * ((q * y ** (q - 1) if q else 0.0) - rate * y**q)
+        term, falling = 0.0, 1
+        for i in range(order + 1):
+            term += math.comb(order, i) * falling * y ** (q - i) * (-rate) ** (order - i)
+            falling *= q - i
+        total += base * term
     return total
 
 
@@ -620,18 +602,11 @@ def appendix_margins(trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> List[Margi
 # ---------------------------------------------------------------------------
 # approximate/error series splits
 
-_SQRTY_DERIV = (1.0, 0.5, -0.25, 0.375, -0.9375)  # (sqrt y)^(i) = c_i y^(1/2-i)
-
-_SPLIT_FAMILY = {
-    "Xa": "X", "Xe": "X", "Ya": "Y", "Ye": "Y",
-    "Aa": "A", "Ae": "A", "Ba": "B", "Be": "B",
-}
 _APPROX_TERMS = {
     "X": polydata.XA_TERMS,
     "Y": polydata.YA_TERMS,
     "B": polydata.BA_TERMS,
 }
-_XYAB_KIND = {"X": XYABKind.X, "Y": XYABKind.Y, "A": XYABKind.A, "B": XYABKind.B}
 
 
 def _aa_terms() -> Tuple[Tuple[int, int], ...]:
@@ -640,24 +615,6 @@ def _aa_terms() -> Tuple[Tuple[int, int], ...]:
     terms += [(8 * n * n, 2) for n in range(2, 7)]
     terms += [(2 * n * n, 2) for n in range(4, 12)]
     return tuple(terms)
-
-
-def _exp_poly(terms, y: float, order: int) -> float:
-    """Derivative of sum coeff*sqrt(y)*exp(-rate*pi*y/4) by the Leibniz rule."""
-    total = 0.0
-    for r, c in terms:
-        rate = r * math.pi / 4.0
-        decay = math.exp(-rate * y)
-        term = 0.0
-        for i in range(order + 1):
-            term += (
-                math.comb(order, i)
-                * _SQRTY_DERIV[i]
-                * y ** (0.5 - i)
-                * (-rate) ** (order - i)
-            )
-        total += c * decay * term
-    return total
 
 
 def series_split(
@@ -672,16 +629,15 @@ def series_split(
     return (Xa, Xe)); the error part is the full certified value minus the
     approximant, which matches the tail expressions of the proofs exactly.
     """
-    if which not in _SPLIT_FAMILY:
+    if which not in ("Xa", "Xe", "Ya", "Ye", "Aa", "Ae", "Ba", "Be"):
         raise DomainError(f"unknown split {which!r}; expected Xa/Xe/Ya/Ye/Aa/Ae/Ba/Be")
     if not y >= 1:
         raise DomainError(f"series splits are used on y >= 1, got {y}")
     if order not in (0, 1, 2, 3, 4):
         raise DomainError(f"split derivative order must be 0..4, got {order}")
-    family = _SPLIT_FAMILY[which]
-    terms = _aa_terms() if family == "A" else _APPROX_TERMS[family]
-    approx = _exp_poly(terms, y, order)
-    full = xyab(_XYAB_KIND[family], y, order, trunc)
+    terms = _aa_terms() if which[0] == "A" else _APPROX_TERMS[which[0]]
+    approx = eval_table([(r, 0, 0.5, c) for r, c in terms], y, order)
+    full = xyab(XYABKind(which[0]), y, order, trunc)
     return approx, full - approx
 
 

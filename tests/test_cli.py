@@ -71,9 +71,14 @@ class TestParsing:
         # a log ratio that rounds up must not carry the inner points past hi
         assert max(parse_sweep("1:1.0000000000000004:100:log")) == 1.0000000000000004
 
-    def test_sweep_validation(self):
+    def test_sweep_validation(self, capsys):
         with pytest.raises(UsageError):
             parse_sweep("2:1:5")
+        for text in ("0:1e400:3", "-inf:0:3", "0:nan:3"):
+            with pytest.raises(UsageError):
+                parse_sweep(text)
+        code, out, err = run(capsys, "trajectory", "W1", "--sweep", "0:1e400:3")
+        assert code == 2 and out == "" and "finite" in err
         with pytest.raises(UsageError):
             parse_sweep("0:1:1")
         with pytest.raises(UsageError):
@@ -195,6 +200,25 @@ class TestEval:
         monkeypatch.setattr(sys, "argv", ["latticetheta", "eval", "theta", "--z", "-0.3+0.7i"])
         assert main() == 0 and capsys.readouterr().out == joined[1]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "E_MH", "--alpha", "-1e-3"),
+            ("eval", "J", "--a", "-1e-3"),
+            ("eval", "J", "--b", "-2.5e-1"),
+            ("eval", "W1", "--rho", "-1e-3"),
+            ("eval", "theta", "--s", "-1e-3"),
+            ("eval", "theta", "--tol", "-1e-3"),
+            ("eval", "theta", "--z", "-3e-1+7e-1i"),
+            ("phase", "--sweep", "-1e-1:1e-1:3"),
+            ("verify", "oracle", "--grid", "-100"),
+        ],
+    )
+    def test_negative_numbers_need_no_equals_sign(self, capsys, argv):
+        # "-1e-3" does not look like a negative number to argparse, "-0.001" does
+        *head, option, value = argv
+        assert run(capsys, *argv) == run(capsys, *head, f"{option}={value}")
+
     @pytest.mark.parametrize("argv", [("phase", "-1:1:5"), ("trajectory", "W1", "-0:1:3")])
     def test_negative_sweep_needs_no_equals_sign(self, capsys, argv):
         *command, sweep = argv
@@ -248,6 +272,15 @@ class TestThresholds:
         assert abs(float(by["sigma2b_times_rho1"]["delta"])) <= 1e-12
         # deltas record the distance to the printed values
         assert float(by["rho2"]["delta"]) == pytest.approx(2.8076e-5, rel=1e-3)
+
+    def test_alpha0_is_solved_at_the_commands_tolerance(self, capsys):
+        from latticetheta.phase_diagram import solve_alpha0
+
+        for tol in ((), ("--tol", "1e-6")):
+            by = {r["name"]: r for r in rows_of(run(capsys, "thresholds", *tol)[1])}
+            checks = {r["name"]: r for r in rows_of(run(capsys, "verify", "thresholds", *tol)[1])}
+            assert by["alpha0"]["computed"] == checks["alpha0"]["computed"], tol
+        assert float(rows_of(run(capsys, "thresholds")[1])[6]["computed"]) == solve_alpha0().alpha0
 
     def test_extended_tightens_the_band_edges(self, capsys):
         code, out, _ = run(capsys, "thresholds", "--precision", "extended")

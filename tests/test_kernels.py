@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import latticetheta
 from latticetheta import halfplane, kernels
 from latticetheta import (
     DEFAULT_TRUNCATION,
@@ -391,6 +392,48 @@ def test_chain_rule_growth_past_a_float_raises_truncation_error():
     assert exc.value.achieved_bound == math.inf
     assert kernels._lattice_tail(50.0, 1.0, 0.0, 1.0, 2, (1, 10**300, 0, 1)) == math.inf
     assert math.isfinite(kernels._lattice_tail(50.0, 1.0, 0.0, 1.0, 2, (1, 10**150, 0, 1)))
+
+
+# each escaped with an OverflowError, a ValueError (NaN to int) or a ZeroDivisionError
+PAST_EVERY_FLOAT = {
+    "y/s squared overflows (s = 1e-300)": lambda: theta2d(1e-300, HalfPlanePoint(0.0, 1e-8)),
+    "y/s squared overflows (y = 1e300)": lambda: theta2d(1, HalfPlanePoint(0.3, 1e300)),
+    "y/s squared overflows in W": lambda: latticetheta.w_eval(
+        latticetheta.FunctionalKind.W1, 0.7, HalfPlanePoint(0.3, 1e300)
+    ),
+    "pi y' overflows": lambda: theta2d(1.2e242, HalfPlanePoint(0.5, 6.7e307)),
+    "subnormal y: theta": lambda: theta2d(1, HalfPlanePoint(0.3, 1e-320)),
+    "subnormal y: J": lambda: j_eval(HalfPlanePoint(0.3, 1e-320), Displacement(0.2, 0.7)),
+    "subnormal y: census": lambda: latticetheta.critical_census(HalfPlanePoint(3.7, 1e-320), 32),
+    "reduced y underflows: census": lambda: latticetheta.critical_census(
+        HalfPlanePoint(3.7, 1e-300), 32
+    ),
+    "h^2 overflows in J's second partials": lambda: j_eval(
+        HalfPlanePoint(0.5, 5.8e-155), Displacement(0.12, 0.1), 0, 2
+    ),
+    "1-D prefactor overflows": lambda: theta1d(1e-300, 0, 1),
+    "1-D guess overflows": lambda: jacobi_theta("three", 5.7e-316),
+}
+
+
+@pytest.mark.parametrize("call", PAST_EVERY_FLOAT.values(), ids=PAST_EVERY_FLOAT.keys())
+def test_quantities_past_every_float_raise_a_declared_error(call):
+    with pytest.raises((DomainError, TruncationError)):
+        call()
+
+
+def test_bounds_past_every_float_are_inf_or_zero_and_never_nan():
+    # the lattice bound's (y/s)^2 overflows: no bound, as where the majorant has not kicked in
+    assert tail_bound("lattice", 5, y=1e300) == math.inf
+    # y' = 1.2e-111 after the reduction, so alpha = s pi y' underflows to 0
+    tiny = dict(x=-2.85830162105309, y=1.2466530466299887e-73, s=9e-217)
+    assert tail_bound("lattice", 40, **tiny) == math.inf
+    # a 1-D side whose exponent passes every float drops nothing a float can hold
+    assert tail_bound("jacobi", 5, y=2.5e306, order=4) == 0.0
+    assert tail_bound("theta1d", 5, X=2.5e306, dY_order=1) == 0.0
+    # s pi y' passes every float, but the m = 0 row is the whole sum: theta_3(1)
+    theta_3 = jacobi_theta("three", 1.0)
+    assert theta2d(1e300, HalfPlanePoint(0.0, 1e300)) == pytest.approx(theta_3, rel=1e-15)
 
 
 def reduced_by_halfplane(z):
