@@ -11,8 +11,8 @@ of four building blocks::
 namely  W1,rho(iy) = Y(y)/2 + rho X(y)  and  sqrt(2) W2,rho(iy) =
 (1 + rho) A(y) + B(y).  The stationarity equations along the axis are the
 quotient equations Y'/X' + c = 0 and 1 + B'/A' + c = 0, whose unique roots in
-(1, sqrt(3)] :func:`solve_y_branch` brackets from a cached table of the
-quotient and finishes by Newton steps inside the Illinois false position that
+(1, sqrt(3)] :func:`solve_y_branch` brackets and seeds from a cached table of
+the quotient and finishes by Newton steps inside the Illinois false position that
 also finds the phase diagram's alpha0.  Note the factor two: the W1 segment
 minimizer at weight rho is the root for c = 2 rho, because differentiating
 Y/2 + rho X gives Y'/X' = -2 rho.
@@ -23,11 +23,13 @@ quotients at y = 1:
     rho1 = -Y''(1) / (2 X''(1))        (W1 leaves the segment)
     rho2 = -1 - B''(1) / A''(1)        (W2 leaves the segment)
 
-One function, :func:`_quotient_jet`, gives each quotient and its slope at
-every y > 0, near y = 1 from an order-4 expansion whose value at 1 is the
-limit above; the root solver, the public quotients and the thresholds all
-read it.  The four sigma thresholds of the trajectory theorems are
-sigma_1a = rho1, sigma_1b = 1/rho2, sigma_2a = rho2, sigma_2b = 1/rho1.
+Splitting theta_3(t) = sum_k e^{-pi k^2 t} by the parity of k gives theta_3(4t) and
+theta_2(4t), so a quotient's two blocks come from two theta_3 passes, at alpha y and
+alpha / y (alpha = 1 for X, Y and 1/2 for A, B).  :func:`_quotient_jet` gives each
+quotient and its slope at every y > 0, near y = 1 from an order-4 expansion whose value
+at 1 is the limit above; the root solver, the public quotients and the thresholds all
+read it.  The sigma thresholds of the trajectory theorems are sigma_1a = rho1,
+sigma_1b = 1/rho2, sigma_2a = rho2, sigma_2b = 1/rho1.
 :func:`minimizer` assembles the full trajectory: segment for small rho,
 corner plateau at i, then the unit-circle arc obtained by the Cayley map
 from the *other* functional's segment root.
@@ -47,8 +49,10 @@ from .kernels import (
     HalfPlanePoint,
     SeriesTruncation,
     _cached,
-    _jacobi_jet,
+    _leibniz,
+    _reflected,
     _sublattice_pair,
+    _theta_series,
 )
 
 __all__ = [
@@ -124,47 +128,32 @@ class TrajectoryPoint:
 # building blocks
 
 
-#: unsigned Lah numbers L(n, k), n = 1..4, k = 1..n
-_LAH = ((1,), (2, 1), (6, 6, 1), (24, 36, 12, 1))
+#: each block's quotient and its place in :func:`_xyab_jet`'s (numerator, denominator)
+_BLOCKS = {XYABKind.Y: ("ZofXY", 0), XYABKind.X: ("ZofXY", 1), XYABKind.B: ("CofAB", 0),
+           XYABKind.A: ("CofAB", 1)}
 
 
-def _pair_derivative(
-    kind: str, alpha: float, y: float, order: int, trunc: SeriesTruncation, ctx: Any
-) -> list:
-    """d^n/dy^n of theta_kind(alpha y) * theta_kind(alpha / y) for n = 0..order,
-    from one derivative jet of each factor; for the second, Faa di Bruno's
-    formula for h(alpha / y) is (-1)^n sum_k L(n, k) alpha^k y^(-n-k) h^(k)(alpha / y)."""
-    f = [v * alpha**j for j, v in enumerate(_jacobi_jet(kind, alpha * y, order, trunc, ctx))]
-    h = _jacobi_jet(kind, alpha / y, order, trunc, ctx)
-    g = [h[0]] + [
-        (-1) ** n * sum(c * alpha**k / y ** (n + k) * h[k] for k, c in enumerate(_LAH[n - 1], 1))
-        for n in range(1, order + 1)
-    ]
-    jet = []
-    for n in range(order + 1):  # Leibniz's rule, in plain loops: generators doubled its cost
-        total = 0
-        for i in range(n + 1):
-            total += math.comb(n, i) * f[i] * g[n - i]
-        jet.append(total)
-    return jet
-
-
-def _xyab_jet(which: XYABKind, y: float, order: int, trunc: SeriesTruncation, ctx: Any) -> list:
-    """X, Y, A or B and its derivatives in y of orders 0..order, from one jet
-    per theta factor."""
+def _xyab_jet(kind: str, y: float, order: int, trunc: SeriesTruncation, ctx: Any) -> tuple:
+    """The y-jets (orders 0..order) of a quotient's numerator and denominator, (Y, X) or (B, A),
+    from parity-split theta_3 passes at alpha y and alpha / y (alpha 1 or 1/2; the second cut
+    with :func:`_reflected`'s gain): with (e, o) the even and odd parts at alpha y and (E, O) at
+    alpha / y, X = (e + o)(E + O), Y = 2 (e E + o O), A = sqrt(2) e E and B = sqrt(2) o O."""
+    if kind not in ("ZofXY", "CofAB"):
+        raise DomainError(f"unknown quotient kind {kind!r}; expected 'ZofXY' or 'CofAB'")
     if not y > 0:
         raise DomainError(f"xyab needs y > 0, got {y}")
-    if which is XYABKind.X:
-        return _pair_derivative("three", 1, y, order, trunc, ctx)
-    if which is XYABKind.Y:
-        three = _pair_derivative("three", 4, y, order, trunc, ctx)
-        two = _pair_derivative("two", 4, y, order, trunc, ctx)
-        return [2 * (u + v) for u, v in zip(three, two)]
-    if which is XYABKind.A:
-        return [ctx.sqrt(2) * v for v in _pair_derivative("three", 2, y, order, trunc, ctx)]
-    if which is XYABKind.B:
-        return [ctx.sqrt(2) * v for v in _pair_derivative("two", 2, y, order, trunc, ctx)]
-    raise DomainError(f"unknown building block {which!r}")
+    alpha = 1.0 if kind == "ZofXY" else 0.5
+    e, o = _theta_series(alpha * y, 0, 0, order, trunc, ctx, split=True)
+    gain = max(map(abs, _reflected([1.0] * (order + 1), alpha, float(y))))  # on the 1/y pass's tail
+    E, O = _theta_series(alpha / y, 0, 0, order, trunc, ctx, scale=gain, split=True)
+    if alpha != 1:  # d^n/dy^n f(alpha y) = alpha^n f^(n)
+        e, o = ([v * alpha**n for n, v in enumerate(part)] for part in (e, o))
+    E, O = _reflected(E, alpha, y), _reflected(O, alpha, y)
+    even, odd = _leibniz(e, E), _leibniz(o, O)
+    if alpha == 1:
+        whole = _leibniz([u + v for u, v in zip(e, o)], [u + v for u, v in zip(E, O)])
+        return [2 * (u + v) for u, v in zip(even, odd)], whole
+    return [ctx.sqrt(2) * v for v in odd], [ctx.sqrt(2) * v for v in even]
 
 
 def xyab(
@@ -177,7 +166,10 @@ def xyab(
     """Evaluate X, Y, A or B, or a derivative in y up to fourth order."""
     if order not in (0, 1, 2, 3, 4):
         raise DomainError(f"derivative order must be 0..4, got {order}")
-    return _xyab_jet(which, y, order, trunc, ctx)[order]
+    if which not in _BLOCKS:
+        raise DomainError(f"unknown building block {which!r}")
+    kind, place = _BLOCKS[which]
+    return _xyab_jet(kind, y, order, trunc, ctx)[place][order]
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +248,6 @@ def _corner_parts(s: float, trunc: SeriesTruncation, ctx: Any) -> Tuple[float, f
     return _sublattice_pair(s, _CORNER, trunc, ctx)
 
 
-def _branch_window(kind: FunctionalKind, trunc: SeriesTruncation) -> float:
-    th = thresholds(trunc)
-    return 2 * th.rho1 if kind is FunctionalKind.W1 else th.rho2
-
-
 def solve_y_branch(
     kind: FunctionalKind,
     c: float,
@@ -268,49 +255,62 @@ def solve_y_branch(
 ) -> float:
     """Root in (1, sqrt(3)] of Y'/X' + c = 0 (W1) or 1 + B'/A' + c = 0 (W2).
 
-    The quotient increases on (1, infinity) and is even in ln y, so it is
-    nearly linear in u = (ln y)^2.  A table of it at nine nodes uniform in u on
-    [1 + 1e-9, sqrt(3)], filled on the first solve per kind and truncation (the
-    cache's key: ``solve_y_branch.cache_info``/``cache_clear``), brackets the
-    root; :func:`_bracketed_root` then takes Newton steps in u until the
-    residual is at most 1e-12, or, where the quotient's float noise exceeds
-    that, until the bracket is a few ulps wide.  ``c`` must lie in
-    [0, window), the window being 2*rho1 for W1 and rho2 for W2; past it there
-    is no root and the minimizer sits at the corner.
+    The quotient increases on (1, infinity) and is even in ln y, so it is nearly linear
+    in u = (ln y)^2.  A table of it and its slope at nine nodes uniform in u on [1 + 1e-9,
+    sqrt(3)], filled on the first solve per kind and truncation (the cache's key:
+    ``solve_y_branch.cache_info``/``cache_clear``), brackets the root; from the root of
+    its cubic Hermite interpolant :func:`_bracketed_root` takes Newton steps in u, each
+    slope read halfway along the step by the cubic's curvature, until the residual is at
+    most 1e-12, or, where the quotient's float noise exceeds that, the bracket is a few
+    ulps wide.  ``c`` lies in [0, window), the window being 2*rho1 for W1 and rho2 for W2;
+    past it there is no root and the minimizer sits at the corner.
     """
     if not c >= 0:
         raise DomainError(f"solve_y_branch needs c >= 0, got {c}")
     if c == 0:
         return SQRT3  # both numerators vanish at the hexagonal height
-    if c >= _branch_window(kind, trunc):
+    th = thresholds(trunc)
+    if c >= (window := 2 * th.rho1 if kind is FunctionalKind.W1 else th.rho2):
         raise NoRootError(
-            f"{kind.value}: c = {c} is past the branch window "
-            f"{_branch_window(kind, trunc):.12f}; no segment root exists"
+            f"{kind.value}: c = {c} is past the branch window {window:.12f}; no segment root exists"
         )
 
     qkind, offset = ("ZofXY", 0.0) if kind is FunctionalKind.W1 else ("CofAB", 1.0)
     def f(u: float) -> Tuple[float, float]:  # the residual and its slope in u
-        q, dq = _quotient_jet(qkind, y := math.exp(t := math.sqrt(u)), trunc)
-        return (offset + q) + c, dq * y / (2 * t)
-    fs = [(offset + q) + c for q in _root_table(qkind, trunc)]
+        q, dq = _u_jet(qkind, u, trunc)
+        r, curv = (offset + q) + c, (2 * c2 + 6 * c3 * (u - a) / h) / (h * h)
+        return r, dq - curv * r / (2 * dq)  # the slope halfway along the Newton step
+    table = _root_table(qkind, trunc)
+    fs = [(offset + q) + c for q, _ in table]
     if not fs[0] < 0 < fs[-1]:
         raise NoRootError(
             f"{kind.value}: no sign change on the bracket for c = {c} "
             f"(f(lo) = {fs[0]:.3e}, f(hi) = {fs[-1]:.3e})"
         )
     k = next(i for i, v in enumerate(fs) if v >= 0)  # fs[k - 1] < 0 <= fs[k]
-    u = _bracketed_root(f, _U_NODES[k - 1], fs[k - 1], _U_NODES[k], fs[k], _POLISH_RESIDUAL)
-    return math.exp(math.sqrt(u))
+    (a, fa, ma), (b, fb, mb) = ((_U_NODES[i], fs[i], table[i][1]) for i in (k - 1, k))
+    h, s = b - a, fa / (fa - fb)  # the cubic Hermite interpolant: fa + s (c1 + s (c2 + s c3))
+    c1, c2, c3 = h * ma, 3 * (fb - fa) - h * (2 * ma + mb), 2 * (fa - fb) + h * (ma + mb)
+    for _ in range(3):  # Newton steps on it from the secant root s: the first iterate
+        s -= (fa + s * (c1 + s * (c2 + s * c3))) / ((c1 + s * (2 * c2 + 3 * s * c3)) or math.nan)
+    return math.exp(math.sqrt(_bracketed_root(f, a, fa, b, fb, _POLISH_RESIDUAL, a + s * h)))
+
+
+def _u_jet(qkind: str, u: float, trunc: SeriesTruncation) -> Tuple[float, float]:
+    """The quotient and its slope in u = (ln y)^2, at y = e^sqrt(u)."""
+    q, dq = _quotient_jet(qkind, y := math.exp(t := math.sqrt(u)), trunc)
+    return q, dq * y / (2 * t)
 
 
 @_cached(solve_y_branch)
-def _root_table(qkind: str, trunc: SeriesTruncation) -> Tuple[float, ...]:
-    """The quotient at the nodes ``_U_NODES``, which do not depend on c."""
-    return tuple(_quotient_jet(qkind, math.exp(math.sqrt(u)), trunc)[0] for u in _U_NODES)
+def _root_table(qkind: str, trunc: SeriesTruncation) -> Tuple[Tuple[float, float], ...]:
+    """The quotient and its slope in u at the nodes ``_U_NODES``, which do not depend on c."""
+    return tuple(_u_jet(qkind, u, trunc) for u in _U_NODES)
 
 
 def _bracketed_root(
-    f: Callable[[float], Tuple[float, Any]], a: float, fa: float, b: float, fb: float, ftol: float
+    f: Callable[[float], Tuple[float, Any]], a: float, fa: float, b: float, fb: float, ftol: float,
+    x0: float = math.nan,
 ) -> float:
     """Root of ``f`` between ``a`` and ``b``, where ``fa`` and ``fb`` differ in sign.
 
@@ -320,11 +320,12 @@ def _bracketed_root(
     in a row has its stored value halved, and a step that rounds onto an end
     falls back to the midpoint.  ``f`` returns f(x) and f'(x) or None; with
     a slope, the Newton step from the newest iterate is taken instead when it
-    lands strictly inside the bracket.  Stops once an end has |f| <= ``ftol``
-    or the bracket is a few ulps wide, and returns the end with the smaller |f|.
+    lands strictly inside the bracket, as is a first iterate ``x0``.  Stops once
+    an end has |f| <= ``ftol`` or the bracket is a few ulps wide, and returns
+    the end with the smaller |f|.
     """
     wa = wb = 1.0  # the halvings of the stored end values
-    kept, xn = None, math.nan  # xn: the Newton step from the newest iterate
+    kept, xn = None, x0  # xn: the Newton step from the newest iterate
     while abs(fa) > ftol and abs(fb) > ftol and abs(b - a) > 4 * math.ulp(max(abs(a), abs(b))):
         x = xn if min(a, b) < xn < max(a, b) else b - wb * fb * (b - a) / (wb * fb - wa * fa)
         if not min(a, b) < x < max(a, b):
@@ -380,14 +381,6 @@ def minimizer(
 # quotients and their sign scans
 
 
-def _quotient_pair(kind: str) -> Tuple[XYABKind, XYABKind]:
-    if kind == "ZofXY":
-        return XYABKind.Y, XYABKind.X
-    if kind == "CofAB":
-        return XYABKind.B, XYABKind.A
-    raise DomainError(f"unknown quotient kind {kind!r}; expected 'ZofXY' or 'CofAB'")
-
-
 def quotient(kind: str, y: float, trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> float:
     """Y'/X' (kind "ZofXY") or B'/A' (kind "CofAB"), the L'Hopital value at y = 1."""
     return _quotient_jet(kind, y, trunc)[0]
@@ -403,17 +396,14 @@ def _quotient_jet(
     d = y - 1, are expanded to P = N2 + N3 d/2 + N4 d^2/6 (Nk the k-th
     derivative at 1, R alike): the quotient is P/R and its derivative
     (P' R - P R')/R^2, the L'Hopital forms at d = 0.  Elsewhere both come from
-    one order-2 jet of N and one of D."""
-    top, bot = _quotient_pair(kind)
+    the order-2 jets of N and D, read off the same two theta_3 passes."""
     d = y - 1.0
     if abs(d) <= _EXPANSION_RADIUS:
-        _, _, n2, n3, n4 = _xyab_jet(top, 1.0, 4, trunc, ctx)
-        _, _, d2, d3, d4 = _xyab_jet(bot, 1.0, 4, trunc, ctx)
+        (_, _, n2, n3, n4), (_, _, d2, d3, d4) = _xyab_jet(kind, 1.0, 4, trunc, ctx)
         p, dp = n2 + n3 * d / 2 + n4 * d * d / 6, n3 / 2 + n4 * d / 3
         r, dr = d2 + d3 * d / 2 + d4 * d * d / 6, d3 / 2 + d4 * d / 3
         return p / r, (dp * r - p * dr) / (r * r)
-    _, n1, n2 = _xyab_jet(top, y, 2, trunc, ctx)
-    _, d1, d2 = _xyab_jet(bot, y, 2, trunc, ctx)
+    (_, n1, n2), (_, d1, d2) = _xyab_jet(kind, y, 2, trunc, ctx)
     return n1 / d1, (n2 * d1 - n1 * d2) / (d1 * d1)
 
 
@@ -464,10 +454,4 @@ def quotient_scan(
     values = [quotient_derivative(kind, y, trunc) for y in ys]
     pos = sum(1 for v in values if v > zero_tol)
     neg = sum(1 for v in values if v < -zero_tol)
-    return SignReport(
-        ys=tuple(ys),
-        values=tuple(values),
-        positive=pos,
-        negative=neg,
-        zero=n - pos - neg,
-    )
+    return SignReport(tuple(ys), tuple(values), positive=pos, negative=neg, zero=n - pos - neg)

@@ -2,11 +2,11 @@
 
 This module is the numerical foundation of the package.  It evaluates
 
-* the Jacobi theta functions ``theta_2``, ``theta_3``, ``theta_4`` of a
-  positive real argument with their term-wise derivatives up to fourth
-  order, and the one-dimensional theta function ``theta1d(X; Y)`` (its
-  Poisson-summed form for ``X < 1``), through one 1-D series that returns
-  orders 0..k of its ``X``-derivatives in one pass,
+* the Jacobi theta functions ``theta_2``, ``theta_3``, ``theta_4`` of a positive
+  real argument with their derivatives up to fourth order (by the imaginary
+  transformation below 1), and the one-dimensional theta function ``theta1d(X; Y)``
+  (its Poisson-summed form for ``X < 1``), through one 1-D series that returns
+  orders 0..k of its ``X``-derivatives in one pass, for theta_3 by parity if asked,
 * the lattice theta function ``theta2d(s; z)`` for ``z`` in the upper
   half-plane and its midpoint-shifted companion ``theta2d_shifted(s; z)``,
   through one kernel for ``J(s; z; a, b) = sum e^{-s pi |m z - n|^2 / y}
@@ -147,7 +147,7 @@ def _cached(public):
 
 THETA_KINDS = ("two", "three", "four")
 
-#: (eps, Y) of each Jacobi kind in :func:`_theta_series`, read by :func:`_jacobi_jet`
+#: (eps, Y) of each Jacobi kind in :func:`_theta_series`
 _JACOBI_SHIFTS = {"two": (0.5, 0), "three": (0, 0), "four": (0, 0.5)}
 
 
@@ -174,7 +174,8 @@ def _series_tail(N: int, X: float, eps: float, p: int, k: int = 0) -> float:
 
 
 def _theta_series(
-    X, eps, Y, k: int, trunc: SeriesTruncation, ctx: Any, p: int = 0, scale: float = 1.0
+    X, eps, Y, k: int, trunc: SeriesTruncation, ctx: Any, p: int = 0, scale: float = 1.0,
+    split: bool = False,
 ) -> list:
     """Orders 0..``k`` in ``X``, in one pass, of ``sum_{u in eps + Z} u^p e^{-pi u^2 X}
     trig(2 pi u Y)`` (``|eps| <= 1/2``, ``p`` 0 or 1, ``trig`` cos or, for
@@ -184,7 +185,9 @@ def _theta_series(
     it covers the lower orders.  That tail is at least ``e^{-pi t^2 X}`` at
     ``t = N + 1 - |eps|`` (twice that if mirrored), so the search starts from
     that Gaussian guess.  An even term at ``eps`` 0 or 1/2 is mirrored: one
-    side is summed and doubled.
+    side is summed and doubled.  ``split`` (theta_3) returns the even and odd ``u``
+    apart, theta_3(4X) and theta_2(4X): at each order all terms share one sign, so
+    each part's tail is at most the whole series' bound.
     """
     Xf, e = float(X), abs(float(eps))
     mirrored = e in (0.0, 0.5) and (p == 0 or Y != 0)
@@ -207,22 +210,45 @@ def _theta_series(
     else:  # |u| < N + 1/2 with eps in (-1/2, 1/2], outward so that odd terms cancel
         js, shift, weight, start = sorted(range(-N, N + (eps < 0.5)), key=abs), eps, 1, 0
     pi, exp, trig = ctx.pi, ctx.exp, (ctx.sin if p else ctx.cos) if Y else None
-    sums = [start] + [0] * k
+    parts = [[start] + [0] * k, [0] * (k + 1)]  # by the parity of j, if split
     for j in js:
         u = shift + j
         a = -pi * (u * u)
         g = weight * u**p * exp(a * X)
         if trig:
             g *= trig(2 * pi * u * Y)
+        sums = parts[split and j & 1]
         for i in range(k + 1):
             sums[i] += g
             g *= a
-    return sums
+    return parts if split else parts[0]
 
 
-def _jacobi_jet(kind: str, y, k: int, trunc: SeriesTruncation, ctx: Any) -> list:
-    """``theta_kind(y)`` and its ``y``-derivatives up to ``k``, in one pass, unchecked."""
-    return _theta_series(y, *_JACOBI_SHIFTS[kind], k, trunc, ctx)
+#: unsigned Lah numbers L(n, k), n = 1..4, k = 1..n
+_LAH = ((1,), (2, 1), (6, 6, 1), (24, 36, 12, 1))
+
+
+def _reflected(h: list, alpha, y) -> list:
+    """The ``y``-jet of ``h(alpha / y)`` from the jet ``h`` at ``x = alpha / y`` (orders 0..4),
+    by Faa di Bruno's formula: order n is ``(-1/y)^n sum_k L(n, k) x^k h^(k)``."""
+    if len(h) == 3:  # written out at order 2, the quotients' order
+        x, r = alpha / y, -1 / y
+        return [h[0], r * x * h[1], r * r * x * (2 * h[1] + x * h[2])]
+    xs = [v * (alpha / y) ** k for k, v in enumerate(h)]
+    return [h[0]] + [(-1 / y) ** n * sum(map(mul, _LAH[n - 1], xs[1:])) for n in range(1, len(h))]
+
+
+def _leibniz(f: list, g: list) -> list:
+    """The jet of a product from the jets of its two factors, by Leibniz's rule."""
+    if len(f) == 3:  # written out at order 2, the quotients' order
+        return [f[0] * g[0], f[1] * g[0] + f[0] * g[1], f[2] * g[0] + 2 * f[1] * g[1] + f[0] * g[2]]
+    return [sum(math.comb(n, i) * f[i] * g[n - i] for i in range(n + 1)) for n in range(len(f))]
+
+
+#: theta_kind(y) = y^{-1/2} theta_dual(1/y); d^i/dy^i y^{-1/2} = c_i y^{-1/2-i}; and the chain
+#: rule's gain at order n, K_n y^{-1/2-2n} with K_n = sum_i C(n, i) |c_i| sum_k L(n - i, k)
+_JACOBI_DUAL = {"two": "four", "three": "three", "four": "two"}
+_ROOT_JET, _DUAL_GAIN = (1.0, -0.5, 0.75, -1.875, 6.5625), (1.0, 1.5, 4.75, 21.625, 126.5625)
 
 
 def jacobi_theta(
@@ -244,12 +270,14 @@ def jacobi_theta(
             theta_4(y) = 1 + 2 sum_{n>=1} (-1)^n e^{-pi n^2 y}
 
         that is, ``sum_{u in eps + Z} e^{-pi u^2 y} cos(2 pi u Y)`` at ``(eps, Y)``
-        = ``(1/2, 0)``, ``(0, 0)`` and ``(0, 1/2)``.
+        = ``(1/2, 0)``, ``(0, 0)`` and ``(0, 1/2)``; at ``y < 1``, that of the
+        imaginary transformation theta_kind(y) = y^{-1/2} theta_dual(1/y)
+        (Whittaker and Watson, 21.51), cut with its chain rule's gain.
     y : float
         Positive argument.
     order : int
-        Derivative order in ``y``, between 0 and 4; differentiation is
-        term-wise (each term picks up a factor ``(-pi u^2)^order``).
+        Derivative order in ``y``, between 0 and 4; at ``y >= 1`` differentiation
+        is term-wise (each term picks up a factor ``(-pi u^2)^order``).
     trunc : SeriesTruncation
         Truncation policy.
     ctx : module
@@ -266,7 +294,8 @@ def jacobi_theta(
         If ``y <= 0``, the kind is unknown, or the order is out of range.
     TruncationError
         If the tail bound cannot be certified within ``trunc.max_index``
-        (it carries ``tail_bound("jacobi", trunc.max_index, ...)``).
+        (it carries ``tail_bound("jacobi", trunc.max_index, ...)``, at ``y < 1``
+        that of the dual at ``1/y`` times the gain), or the gain passes every float.
     """
     if kind not in THETA_KINDS:
         raise DomainError(f"unknown theta kind {kind!r}; expected one of {THETA_KINDS}")
@@ -274,7 +303,14 @@ def jacobi_theta(
         raise DomainError(f"jacobi_theta needs y > 0, got {y}")
     if order not in (0, 1, 2, 3, 4):
         raise DomainError(f"derivative order must be 0..4, got {order}")
-    return _jacobi_jet(kind, y, order, trunc, ctx)[order]
+    if y >= 1:
+        return _theta_series(y, *_JACOBI_SHIFTS[kind], order, trunc, ctx)[order]
+    if (0.5 + 2 * order) * ctx.log(y) < -700:  # the gain passes every float
+        raise TruncationError(f"jacobi_theta (y={y}): order-{order} gain past any float", math.inf)
+    gain = float(_DUAL_GAIN[order] * y ** (-0.5 - 2 * order))
+    h = _theta_series(1 / y, *_JACOBI_SHIFTS[_JACOBI_DUAL[kind]], order, trunc, ctx, 0, gain)
+    w = [c / ctx.sqrt(y) / y**i for i, c in enumerate(_ROOT_JET[: order + 1])]
+    return _leibniz(w, _reflected(h, 1, y))[order]
 
 
 def theta1d(
@@ -395,6 +431,16 @@ def _least_r2(tail, r2: float, r2_cap: float, trunc: SeriesTruncation, what) -> 
     return r2
 
 
+def _reduced_shift(L: tuple, a, b, ctx: Any) -> tuple:
+    """``L (a, b)`` less its nearest integers (ties up), exact on the binary fractions ``a``,
+    ``b`` (floats or mpmath numbers), then rounded once: no row phase loses digits to ``L``."""
+    (pa, qa), (pb, qb) = (a.as_integer_ratio(), b.as_integer_ratio()) if ctx is math else [
+        (int(ctx.ldexp(v, k)), 1 << k) for v in map(ctx.mpf, (a, b)) for k in [max(-v.exp, 0)]]
+    q, h, (l0, l1, l2, l3) = qa * qb, qa * qb // 2, L  # q a power of two
+    na, nb = (l0 * pa * qb + l1 * pb * qa + h) % q - h, (l2 * pa * qb + l3 * pb * qa + h) % q - h
+    return (na / q, nb / q) if ctx is math else (ctx.mpf(na) / q, ctx.mpf(nb) / q)
+
+
 def _lattice_sum(
     s: float, z: HalfPlanePoint, shifts: tuple, order: int, trunc: SeriesTruncation, ctx: Any,
     dz: bool = False,
@@ -436,9 +482,7 @@ def _lattice_sum(
     if order == 2 and not dz and not h * h < math.inf:  # else h^2 times a 0 moment is NaN
         raise TruncationError(f"lattice sum (s={s}, z=({z.x}, {z.y})): h^2 = inf", math.inf)
     for a, b in shifts:
-        a, b = (a, b) if ctx is math else (ctx.mpf(a), ctx.mpf(b))  # L mixes them in the backend
-        ar, br = l0 * a + l1 * b, l2 * a + l3 * b
-        t = br - floor(float(br) + 0.5)
+        ar, t = _reduced_shift(L, a, b, ctx)
         j0 = ceil(-reach - float(t))
         ds = [t + j for j in range(j0, floor(reach - float(t)) + 1)]
         if ctx is math:

@@ -38,11 +38,12 @@ from .kernels import (
     DomainError,
     HalfPlanePoint,
     SeriesTruncation,
+    _JACOBI_SHIFTS,
     _cached,
-    _jacobi_jet,
     _lattice_sum,
     _table_grid,
     _table_partials,
+    _theta_series,
     _torus_table,
 )
 
@@ -135,8 +136,8 @@ def hessian_universal(
     kinds = {"w1": ("four", "three"), "w2": ("three", "four"), "w3": ("four", "four")}
     if which not in kinds:
         raise DomainError(f"unknown universal point {which!r}; expected 'w1', 'w2' or 'w3'")
-    f0, f1 = _jacobi_jet(kinds[which][0], y, 1, trunc, math)
-    g0, g1 = _jacobi_jet(kinds[which][1], 1 / y, 1, trunc, math)
+    f0, f1 = _theta_series(y, *_JACOBI_SHIFTS[kinds[which][0]], 1, trunc, math)
+    g0, g1 = _theta_series(1 / y, *_JACOBI_SHIFTS[kinds[which][1]], 1, trunc, math)
     return 16 * math.pi**2 * f1 * g0 * f0 * g1
 
 

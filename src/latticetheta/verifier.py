@@ -690,22 +690,10 @@ def _suite_identities(trunc: SeriesTruncation) -> List[CheckRow]:
     tau = HalfPlanePoint(0.35, 1.2)
     wpt = cayley(tau)
     for rho in (0.5, 2.0):
-        rows.append(
-            _row(
-                f"duality_w1_rho{rho:g}",
-                w_eval(FunctionalKind.W1, rho, tau, trunc),
-                rho * w_eval(FunctionalKind.W2, 1 / rho, wpt, trunc),
-                1e-9,
-            )
-        )
-        rows.append(
-            _row(
-                f"duality_w2_rho{rho:g}",
-                w_eval(FunctionalKind.W2, rho, tau, trunc),
-                rho * w_eval(FunctionalKind.W1, 1 / rho, wpt, trunc),
-                1e-9,
-            )
-        )
+        for kind in (FunctionalKind.W1, FunctionalKind.W2):
+            other = FunctionalKind.W2 if kind is FunctionalKind.W1 else FunctionalKind.W1
+            lhs, rhs = w_eval(kind, rho, tau, trunc), rho * w_eval(other, 1 / rho, wpt, trunc)
+            rows.append(_row(f"duality_{kind.value.lower()}_rho{rho:g}", lhs, rhs, 1e-9))
     return rows
 
 
@@ -775,8 +763,6 @@ def run_suite(
     if suite == "oracle":
         return _suite_oracle(trunc, grid_n)
     if suite == "all":
-        rows: List[CheckRow] = []
-        for name in ("identities", "thresholds", "appendix", "oracle"):
-            rows.extend(run_suite(name, trunc, grid_n))
-        return rows
+        names = ("identities", "thresholds", "appendix", "oracle")
+        return [row for name in names for row in run_suite(name, trunc, grid_n)]
     raise DomainError(f"unknown suite {suite!r}; expected one of {SUITES}")

@@ -6,6 +6,7 @@ for the circle-to-line transfer identity.
 """
 
 import math
+import random
 
 import mpmath as mp
 import numpy as np
@@ -89,14 +90,16 @@ def test_xyab_derivatives_match_mpmath(which, order):
 @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
 def test_xyab_evaluates_only_the_theta_derivatives_it_uses(order, monkeypatch):
     """X = theta_3(y) theta_3(1/y) needs orders 0..order of each factor: one
-    series pass per factor, asking for no higher order."""
+    parity-split theta_3 pass at y and one at 1/y, asking for no higher order."""
     calls = []
-    original = functionals._jacobi_jet
+    original = functionals._theta_series
     monkeypatch.setattr(
-        functionals, "_jacobi_jet", lambda *args: calls.append(args) or original(*args)
+        functionals,
+        "_theta_series",
+        lambda *args, **kw: calls.append(args) or original(*args, **kw),
     )
     xyab(X, 1.3, order)
-    assert [args[2] for args in calls] == [order, order]
+    assert [(args[0], args[3]) for args in calls] == [(1.3, order), (1 / 1.3, order)]
 
 
 @given(ys)
@@ -391,11 +394,11 @@ def test_branch_root_residuals(kind, cs, monkeypatch):
 @pytest.mark.parametrize("kind,c_warm,c", [(W1, 0.02, 0.07), (W2, 0.3, 1.0)])
 def test_bracket_ends_are_evaluated_once_per_kind(kind, c_warm, c, monkeypatch):
     """The quotient table, bracket ends included, does not depend on c: a solve
-    after the first skips its two jets per node and finds the same root."""
+    after the first skips its one quotient per node and finds the same root."""
     thresholds(functionals.DEFAULT_TRUNCATION)  # the key solve_y_branch uses
     calls = []
-    jet = functionals._xyab_jet
-    monkeypatch.setattr(functionals, "_xyab_jet", lambda *args: calls.append(args) or jet(*args))
+    jet = functionals._quotient_jet
+    monkeypatch.setattr(functionals, "_quotient_jet", lambda *a: calls.append(a) or jet(*a))
     solve_y_branch.cache_clear()
     cold = solve_y_branch(kind, c)
     cold_calls = len(calls)
@@ -403,7 +406,7 @@ def test_bracket_ends_are_evaluated_once_per_kind(kind, c_warm, c, monkeypatch):
     solve_y_branch(kind, c_warm)
     calls.clear()
     warm = solve_y_branch(kind, c)
-    assert cold_calls - len(calls) == 2 * len(functionals._U_NODES)
+    assert cold_calls - len(calls) == len(functionals._U_NODES)
     ends = [math.exp(math.sqrt(u)) for u in functionals._U_NODES[::8]]
     assert ends == [1 + 1e-9, SQRT3]  # the table's ends are the bracket's, exactly
     assert warm == cold
@@ -424,6 +427,40 @@ def test_branch_root_near_the_window_edge(kind, k):
     around = (math.nextafter(y, 0), y, math.nextafter(y, 2))
     res = [quotient(qkind, t) + offset + c for t in around]
     assert abs(res[1]) <= 1e-12 or min(res) < 0 < max(res)
+
+
+@pytest.mark.parametrize("kind", [W1, W2])
+def test_warm_solves_take_few_quotient_evaluations(kind, monkeypatch):
+    """Seeded by the root of the table's cubic Hermite interpolant, a warm solve
+    takes at most 2.5 quotients on average over 200 seeded c, and every root
+    keeps a residual within the 1e-12 target."""
+    qkind, offset = ("ZofXY", 0.0) if kind is W1 else ("CofAB", 1.0)
+    window = 2 * thresholds().rho1 if kind is W1 else thresholds().rho2
+    solve_y_branch(kind, window / 2)  # fills the root table
+    rng = random.Random(7)
+    cs = [rng.uniform(0.0, window) for _ in range(200)]
+    calls = []
+    jet = functionals._quotient_jet
+    with monkeypatch.context() as m:
+        m.setattr(functionals, "_quotient_jet", lambda *a: calls.append(a) or jet(*a))
+        roots = [solve_y_branch(kind, c) for c in cs]
+    assert len(calls) / len(cs) <= 2.5
+    for c, y in zip(cs, roots):
+        assert abs(quotient(qkind, y) + offset + c) <= 1e-12
+
+
+def test_w2_root_at_the_window_edge_takes_at_most_two_quotients(monkeypatch):
+    """At c = window (1 - 1e-8) the W2 root sits at y = 1 + 4.2e-5, in the band
+    where the quotient's rounding exceeds the residual target: the seed, and at
+    most one Newton step, find it, where the unseeded bracket took 10 quotients."""
+    c = thresholds().rho2 * (1 - 1e-8)
+    solve_y_branch(W2, c / 2)  # fills the root table
+    calls = []
+    jet = functionals._quotient_jet
+    monkeypatch.setattr(functionals, "_quotient_jet", lambda *a: calls.append(a) or jet(*a))
+    y = solve_y_branch(W2, c)
+    assert len(calls) <= 2
+    assert abs(y - (1 + 4.2e-5)) < 1e-6
 
 
 def test_branch_root_against_dense_scan():
@@ -673,18 +710,21 @@ def test_rho2_from_the_expansion_matches_40_digits():
     assert thresholds().rho2 == pytest.approx(RHO2, rel=1e-15, abs=0)
 
 
-@pytest.mark.parametrize("kind,passes", [("ZofXY", 6), ("CofAB", 4)])
+@pytest.mark.parametrize("kind,passes", [("ZofXY", 2), ("CofAB", 2)])
 @pytest.mark.parametrize("y,order", [(1.4, 2), (0.6, 2), (1 + 1e-5, 4), (1.0, 4)])
 def test_quotient_derivative_takes_each_block_from_one_jet(kind, passes, y, order, monkeypatch):
-    """Every order of N' and D' comes from one pass per theta factor: orders
-    0..2 at a generic point, orders 0..4 of the expansion at y = 1."""
+    """Every order of N' and D' comes from two parity-split passes of theta_3,
+    at alpha y and at alpha / y: orders 0..2 at a generic point, orders 0..4 of
+    the expansion at y = 1."""
     calls = []
-    original = functionals._jacobi_jet
+    original = functionals._theta_series
     monkeypatch.setattr(
-        functionals, "_jacobi_jet", lambda *args: calls.append(args) or original(*args)
+        functionals,
+        "_theta_series",
+        lambda *args, **kw: calls.append((args[3], kw["split"])) or original(*args, **kw),
     )
     quotient_derivative(kind, y)
-    assert [args[2] for args in calls] == [order] * passes
+    assert calls == [(order, True)] * passes
 
 
 def test_quotient_scan_validation():

@@ -7,6 +7,7 @@ double sum over a large square block of the lattice for ``theta2d``.
 
 import math
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -112,9 +113,36 @@ def test_jacobi_domain_errors():
 
 def test_jacobi_truncation_error_carries_bound():
     tight = SeriesTruncation(max_index=1, tail_tol=1e-13)
+    for y in (0.9, 1.1):  # the transformed series and the direct one
+        with pytest.raises(TruncationError) as exc:
+            jacobi_theta("three", y, trunc=tight)
+        assert exc.value.achieved_bound > 1e-13
+
+
+@pytest.mark.parametrize("y", [1e-3, 1e-6])
+@pytest.mark.parametrize("kind", ["two", "three", "four"])
+def test_jacobi_at_small_y_matches_mpmath_at_30_digits(kind, y):
+    """At y < 1 the imaginary transformation sums the dual series at 1/y, where
+    the direct series at 1e-3 could not certify its tail within 64 terms.
+    theta_4 is about y^{-1/2} e^{-pi/(4y)} there, below the reference's own noise
+    (about 1e-34 at order 0), so it is held to an absolute 1e-30."""
+    j = KIND_TO_MPMATH[kind]
+    with mp.workdps(30):
+        f = lambda t: mp.jtheta(j, 0, mp.exp(-mp.pi * t))
+        refs = [mp.diff(f, mp.mpf(y), order) for order in range(5)]
+        for order, ref in enumerate(refs):
+            assert jacobi_theta(kind, y, order) == pytest.approx(float(ref), rel=1e-13, abs=1e-30)
+            got = jacobi_theta(kind, mp.mpf(y), order, SeriesTruncation(64, 1e-25), mp.mp)
+            assert abs(got - ref) <= 1e-24 * max(abs(ref), 1)
+
+
+def test_jacobi_past_every_float_at_tiny_y():
+    # theta_3(y) = y^{-1/2} to every digit at subnormal y, whose 1/y is inf; the
+    # first derivative's gain y^{-3/2} passes every float
+    assert jacobi_theta("three", 5.7e-316) == pytest.approx(5.7e-316**-0.5, rel=1e-15)
     with pytest.raises(TruncationError) as exc:
-        jacobi_theta("three", 0.05, trunc=tight)
-    assert exc.value.achieved_bound > 1e-13
+        jacobi_theta("three", 5.7e-316, 1)
+    assert exc.value.achieved_bound == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +440,7 @@ PAST_EVERY_FLOAT = {
         HalfPlanePoint(0.5, 5.8e-155), Displacement(0.12, 0.1), 0, 2
     ),
     "1-D prefactor overflows": lambda: theta1d(1e-300, 0, 1),
-    "1-D guess overflows": lambda: jacobi_theta("three", 5.7e-316),
+    "1-D guess overflows": lambda: latticetheta.xyab(latticetheta.XYABKind.X, 5.7e-316),
 }
 
 
@@ -420,6 +448,31 @@ PAST_EVERY_FLOAT = {
 def test_quantities_past_every_float_raise_a_declared_error(call):
     with pytest.raises((DomainError, TruncationError)):
         call()
+
+
+@pytest.mark.parametrize("ctx", [math, mp.mp], ids=["binary64", "mpmath"])
+def test_shifted_theta_far_along_the_real_axis(ctx):
+    """At even x, theta(1; (z+1)/2) equals its value at x = 0.  The displacement
+    (1/2, 1/2) reaches the reduced point as L (a, b) with L = (1, k, 0, -1), k
+    the integer nearest x; reduced mod 1 exactly, no row phase grows with x."""
+    at0 = theta2d_shifted(1, HalfPlanePoint(0.0, 1.3), ctx=ctx)
+    for x in (1e10, 1e12):
+        assert abs(theta2d_shifted(1, HalfPlanePoint(x, 1.3), ctx=ctx) - at0) <= 1e-13
+    try:
+        far = theta2d_shifted(1, HalfPlanePoint(6.4e307, 1.3), ctx=ctx)
+    except (DomainError, TruncationError):
+        return
+    assert abs(far - at0) <= 1e-13
+
+
+def test_displacements_are_reduced_exactly():
+    # L (a, b) less its nearest integers, against exact rationals, in both backends
+    cases = [((3, 10**12, 1, -7), 1 / 3, -0.75), ((-2, 5, 7, -17), -0.3, 0.61)]
+    for L, a, b in cases + [((1, 0, 0, -1), 0, 0)]:
+        want = [Fraction(l) * Fraction(a) + Fraction(m) * Fraction(b) for l, m in (L[:2], L[2:])]
+        want = [float(w - math.floor(w + Fraction(1, 2))) for w in want]
+        assert kernels._reduced_shift(L, a, b, math) == tuple(want)
+        assert kernels._reduced_shift(L, mp.mpf(a), mp.mpf(b), mp.mp) == tuple(want)
 
 
 def test_bounds_past_every_float_are_inf_or_zero_and_never_nan():
@@ -569,15 +622,48 @@ def test_tail_bound_dominates_actual_error():
                     assert true_tail <= bound
 
 
+@pytest.mark.parametrize("t", [0.29, 0.5, 1.0, 1.7])
+def test_parity_parts_match_40_digit_sums(t, monkeypatch):
+    """The split theta_3 pass: its even and odd k parts (theta_3(4t) and
+    theta_2(4t)) at orders 0..4 match the exact sums, and each part's truncation
+    error, seen at 40 digits, stays below the tail bound of the one cut."""
+    seen = []
+    tail = kernels._series_tail
+    monkeypatch.setattr(kernels, "_series_tail", lambda *a: seen.append(tail(*a)) or seen[-1])
+    with mp.workdps(40):
+        tm = mp.mpf(t)
+        term = lambda k, n: 2 * (-mp.pi * k * k) ** n * mp.exp(-mp.pi * k * k * tm)
+        sums = lambda first, n: mp.fsum(term(k, n) for k in range(first, 80, 2))
+        # k and -k together; k = 0 adds 1 to the even value
+        exact = [[(n == 0) + sums(2, n) for n in range(5)], [sums(1, n) for n in range(5)]]
+        parts = kernels._theta_series(tm, 0, 0, 4, DEFAULT_TRUNCATION, mp.mp, split=True)
+        bound = seen[-1]
+        for part, ref in zip(parts, exact):
+            for got, want in zip(part, ref):
+                assert abs(got - want) <= bound <= DEFAULT_TRUNCATION.tail_tol
+    floats = kernels._theta_series(t, 0, 0, 4, DEFAULT_TRUNCATION, math, split=True)
+    for part, ref in zip(floats, exact):
+        for got, want in zip(part, ref):
+            assert got == pytest.approx(float(want), rel=1e-14, abs=2e-13)
+
+
 def test_1d_series_raise_with_the_tail_bound_at_max_index():
     tight = SeriesTruncation(max_index=2, tail_tol=1e-13)
     for kind in ("two", "three", "four"):
         for order in (0, 3):
             with pytest.raises(TruncationError) as exc:
-                jacobi_theta(kind, 0.3, order, tight)
-            bound = tail_bound("jacobi", 2, y=0.3, order=order, theta_kind=kind)
+                jacobi_theta(kind, 1.0, order, tight)
+            bound = tail_bound("jacobi", 2, y=1.0, order=order, theta_kind=kind)
             assert exc.value.achieved_bound == bound
             assert 1e-13 < bound < math.inf
+            # at y < 1: the transform's series at 1/y, its bound times the chain rule's gain
+            with pytest.raises(TruncationError) as exc:
+                jacobi_theta(kind, 0.95, order, tight)
+            dual = kernels._JACOBI_DUAL[kind]
+            bound = tail_bound("jacobi", 2, y=1 / 0.95, order=order, theta_kind=dual)
+            gain = kernels._DUAL_GAIN[order] * 0.95 ** (-0.5 - 2 * order)
+            assert exc.value.achieved_bound == gain * bound
+            assert 1e-13 < bound < exc.value.achieved_bound < math.inf
     for dY_order in (0, 1):
         with pytest.raises(TruncationError) as exc:
             theta1d(1.05, 0.3, dY_order, tight)
