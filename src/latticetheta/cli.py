@@ -28,7 +28,6 @@ from .functionals import (
     _thresholds,
     _w_value,
     minimizer,
-    w_eval,
 )
 from .kernels import (
     DEFAULT_TRUNCATION,
@@ -217,7 +216,7 @@ def cmd_trajectory(args: argparse.Namespace) -> Tuple[List[Dict[str, Any]], int]
             "x": p.z.x,
             "y": p.z.y,
             "branch": p.branch,
-            "value": w_eval(kind, rho, p.z, trunc),
+            "value": p.value,
             "continuous": flag,
         }
         for rho, p, flag in zip(rhos, points, flags)

@@ -32,7 +32,10 @@ read it.  The sigma thresholds of the trajectory theorems are sigma_1a = rho1,
 sigma_1b = 1/rho2, sigma_2a = rho2, sigma_2b = 1/rho1.
 :func:`minimizer` assembles the full trajectory: segment for small rho,
 corner plateau at i, then the unit-circle arc obtained by the Cayley map
-from the *other* functional's segment root.
+from the *other* functional's segment root.  The W printed there (and the phase
+diagram's energy, 2 alpha W1,rho) is read off the blocks the root solver ends on:
+the forms above on the segment, and rho W_other,1/rho(iy) on the arc.  :func:`w_eval`
+stays the lattice pass, valid at every z.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from .halfplane import on_trajectory
 from .kernels import (
@@ -111,11 +114,13 @@ class Thresholds:
 
 @dataclass(frozen=True)
 class TrajectoryPoint:
-    """A minimizer: weight, location, and which trajectory piece it sits on."""
+    """A minimizer: weight, location, which trajectory piece it sits on, and the
+    functional's value there (set by :func:`minimizer`)."""
 
     rho: float
     z: HalfPlanePoint
     branch: str  # "segment" | "corner" | "arc"
+    value: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.branch not in ("segment", "corner", "arc"):
@@ -219,6 +224,8 @@ def w_eval(
     """W1,rho(z) = theta(2;(z+1)/2) + rho theta(1;z), and the W2 companion
     W2,rho(z) = theta(1;(z+1)/2) + rho theta(2;z), each one lattice pass at z
     (:func:`_w_value`; W2's plain term by the duality theta(2; z) = theta(1/2; z)/2).
+    This lattice form holds at every z; the trajectory's printed values come from the
+    axis blocks instead, and the tests compare the two.
 
     The rho-free thetas at the corner z = i are cached, keyed on the truncation plus
     the precision of the backend the CLI's extended ``eval`` passes
@@ -265,23 +272,29 @@ def solve_y_branch(
     ulps wide.  ``c`` lies in [0, window), the window being 2*rho1 for W1 and rho2 for W2;
     past it there is no root and the minimizer sits at the corner.
     """
+    return _branch_root(kind, c, trunc)[0]
+
+
+def _branch_root(kind: FunctionalKind, c: float, trunc: SeriesTruncation) -> Tuple[float, tuple]:
+    """:func:`solve_y_branch`'s root y and the quotient's blocks (Y, X) or (B, A) there, read
+    at the end :func:`_bracketed_root` returns: an evaluated iterate or a table node."""
     if not c >= 0:
         raise DomainError(f"solve_y_branch needs c >= 0, got {c}")
-    if c == 0:
-        return SQRT3  # both numerators vanish at the hexagonal height
+    qkind, offset = ("ZofXY", 0.0) if kind is FunctionalKind.W1 else ("CofAB", 1.0)
+    if c == 0:  # both numerators vanish at the hexagonal height
+        return SQRT3, tuple(jet[0] for jet in _xyab_jet(qkind, SQRT3, 0, trunc, math))
     th = thresholds(trunc)
     if c >= (window := 2 * th.rho1 if kind is FunctionalKind.W1 else th.rho2):
         raise NoRootError(
             f"{kind.value}: c = {c} is past the branch window {window:.12f}; no segment root exists"
         )
 
-    qkind, offset = ("ZofXY", 0.0) if kind is FunctionalKind.W1 else ("CofAB", 1.0)
     def f(u: float) -> Tuple[float, float]:  # the residual and its slope in u
-        q, dq = _u_jet(qkind, u, trunc)
+        q, dq, blocks[u] = _u_jet(qkind, u, trunc)
         r, curv = (offset + q) + c, (2 * c2 + 6 * c3 * (u - a) / h) / (h * h)
         return r, dq - curv * r / (2 * dq)  # the slope halfway along the Newton step
     table = _root_table(qkind, trunc)
-    fs = [(offset + q) + c for q, _ in table]
+    fs = [(offset + q) + c for q, _, _ in table]
     if not fs[0] < 0 < fs[-1]:
         raise NoRootError(
             f"{kind.value}: no sign change on the bracket for c = {c} "
@@ -289,22 +302,24 @@ def solve_y_branch(
         )
     k = next(i for i, v in enumerate(fs) if v >= 0)  # fs[k - 1] < 0 <= fs[k]
     (a, fa, ma), (b, fb, mb) = ((_U_NODES[i], fs[i], table[i][1]) for i in (k - 1, k))
+    blocks = {a: table[k - 1][2], b: table[k][2]}  # the blocks at every u evaluated
     h, s = b - a, fa / (fa - fb)  # the cubic Hermite interpolant: fa + s (c1 + s (c2 + s c3))
     c1, c2, c3 = h * ma, 3 * (fb - fa) - h * (2 * ma + mb), 2 * (fa - fb) + h * (ma + mb)
     for _ in range(3):  # Newton steps on it from the secant root s: the first iterate
         s -= (fa + s * (c1 + s * (c2 + s * c3))) / ((c1 + s * (2 * c2 + 3 * s * c3)) or math.nan)
-    return math.exp(math.sqrt(_bracketed_root(f, a, fa, b, fb, _POLISH_RESIDUAL, a + s * h)))
+    u = _bracketed_root(f, a, fa, b, fb, _POLISH_RESIDUAL, a + s * h)
+    return math.exp(math.sqrt(u)), blocks[u]
 
 
-def _u_jet(qkind: str, u: float, trunc: SeriesTruncation) -> Tuple[float, float]:
-    """The quotient and its slope in u = (ln y)^2, at y = e^sqrt(u)."""
-    q, dq = _quotient_jet(qkind, y := math.exp(t := math.sqrt(u)), trunc)
-    return q, dq * y / (2 * t)
+def _u_jet(qkind: str, u: float, trunc: SeriesTruncation) -> Tuple[float, float, tuple]:
+    """The quotient, its slope in u = (ln y)^2 and its blocks, at y = e^sqrt(u)."""
+    q, dq, blocks = _quotient_jet(qkind, y := math.exp(t := math.sqrt(u)), trunc)
+    return q, dq * y / (2 * t), blocks
 
 
 @_cached(solve_y_branch)
-def _root_table(qkind: str, trunc: SeriesTruncation) -> Tuple[Tuple[float, float], ...]:
-    """The quotient and its slope in u at the nodes ``_U_NODES``, which do not depend on c."""
+def _root_table(qkind: str, trunc: SeriesTruncation) -> Tuple[Tuple[float, float, tuple], ...]:
+    """:func:`_u_jet` at the nodes ``_U_NODES``, which do not depend on c."""
     return tuple(_u_jet(qkind, u, trunc) for u in _U_NODES)
 
 
@@ -351,30 +366,33 @@ def minimizer(
     Implements the trajectory table: vertical segment below the first
     threshold, the corner i on the plateau (ties included), and past the
     plateau the unit-arc image under the Cayley map of the *other*
-    functional's segment root at the reciprocal weight.
+    functional's segment root at the reciprocal weight.  Its ``value`` is W there, read
+    off the blocks the root solver ends on: W1,rho(iy) = Y/2 + rho X and W2,rho(iy) =
+    ((1 + rho) A + B)/sqrt(2) on the segment, rho times the other functional's at 1/rho
+    on the arc, and :func:`_w_value`'s cache at the corner.
     """
     if not rho >= 0:
         raise DomainError(f"minimizer needs rho >= 0, got {rho}")
+
+    def segment(kind: FunctionalKind, rho: float) -> Tuple[float, float]:
+        if kind is FunctionalKind.W1:
+            y, (Y, X) = _branch_root(kind, 2 * rho, trunc)
+            return y, Y / 2 + rho * X
+        y, (B, A) = _branch_root(kind, rho, trunc)
+        return y, ((1 + rho) * A + B) / math.sqrt(2.0)
     th = thresholds(trunc)
     if kind is FunctionalKind.W1:
-        seg_end, arc_start = th.sigma1a, th.sigma1b
+        seg_end, arc_start, other = th.sigma1a, th.sigma1b, FunctionalKind.W2
     else:
-        seg_end, arc_start = th.sigma2a, th.sigma2b
-
+        seg_end, arc_start, other = th.sigma2a, th.sigma2b, FunctionalKind.W1
     if rho < seg_end:
-        if kind is FunctionalKind.W1:
-            y = solve_y_branch(FunctionalKind.W1, 2 * rho, trunc)
-        else:
-            y = solve_y_branch(FunctionalKind.W2, rho, trunc)
-        return TrajectoryPoint(rho, HalfPlanePoint(0.0, y), "segment")
+        y, w = segment(kind, rho)
+        return TrajectoryPoint(rho, HalfPlanePoint(0.0, y), "segment", w)
     if rho <= arc_start:
-        return TrajectoryPoint(rho, HalfPlanePoint(0.0, 1.0), "corner")
-    if kind is FunctionalKind.W1:
-        y = solve_y_branch(FunctionalKind.W2, 1 / rho, trunc)
-    else:
-        y = solve_y_branch(FunctionalKind.W1, 2 / rho, trunc)
+        return TrajectoryPoint(rho, _CORNER, "corner", _w_value(kind, rho, _CORNER, trunc, math))
+    y, w = segment(other, 1 / rho)
     d = y * y + 1
-    return TrajectoryPoint(rho, HalfPlanePoint((y * y - 1) / d, 2 * y / d), "arc")
+    return TrajectoryPoint(rho, HalfPlanePoint((y * y - 1) / d, 2 * y / d), "arc", rho * w)
 
 
 # ---------------------------------------------------------------------------
@@ -388,23 +406,27 @@ def quotient(kind: str, y: float, trunc: SeriesTruncation = DEFAULT_TRUNCATION) 
 
 def _quotient_jet(
     kind: str, y: float, trunc: SeriesTruncation, ctx: Any = math
-) -> Tuple[float, float]:
-    """The quotient N'/D' (N, D = Y, X or B, A) and its y-derivative, at every y > 0.
+) -> Tuple[float, float, tuple]:
+    """The quotient N'/D' (N, D = Y, X or B, A), its y-derivative and the blocks (N, D), at
+    every y > 0.
 
     N' and D' vanish at y = 1, where the generic forms lose their digits to
     rounding, so within ``_EXPANSION_RADIUS`` of 1 N' = d P(d) and D' = d R(d),
     d = y - 1, are expanded to P = N2 + N3 d/2 + N4 d^2/6 (Nk the k-th
     derivative at 1, R alike): the quotient is P/R and its derivative
-    (P' R - P R')/R^2, the L'Hopital forms at d = 0.  Elsewhere both come from
-    the order-2 jets of N and D, read off the same two theta_3 passes."""
+    (P' R - P R')/R^2, the L'Hopital forms at d = 0, and N, D are the Taylor sums
+    of the same jets.  Elsewhere all come from the order-2 jets of N and D, read off
+    the same two theta_3 passes."""
     d = y - 1.0
     if abs(d) <= _EXPANSION_RADIUS:
-        (_, _, n2, n3, n4), (_, _, d2, d3, d4) = _xyab_jet(kind, 1.0, 4, trunc, ctx)
+        num, den = _xyab_jet(kind, 1.0, 4, trunc, ctx)
+        (n2, n3, n4), (d2, d3, d4) = num[2:], den[2:]
         p, dp = n2 + n3 * d / 2 + n4 * d * d / 6, n3 / 2 + n4 * d / 3
         r, dr = d2 + d3 * d / 2 + d4 * d * d / 6, d3 / 2 + d4 * d / 3
-        return p / r, (dp * r - p * dr) / (r * r)
-    (_, n1, n2), (_, d1, d2) = _xyab_jet(kind, y, 2, trunc, ctx)
-    return n1 / d1, (n2 * d1 - n1 * d2) / (d1 * d1)
+        taylor = lambda f: f[0] + d * (f[1] + d * (f[2] / 2 + d * (f[3] / 6 + d * f[4] / 24)))
+        return p / r, (dp * r - p * dr) / (r * r), (taylor(num), taylor(den))
+    (n0, n1, n2), (d0, d1, d2) = _xyab_jet(kind, y, 2, trunc, ctx)
+    return n1 / d1, (n2 * d1 - n1 * d2) / (d1 * d1), (n0, d0)
 
 
 def quotient_derivative(kind: str, y: float, trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> float:

@@ -561,31 +561,31 @@ def _table_tail(r2: float, x: float, y: float, L: tuple) -> float:
 
 
 def _torus_table(z: HalfPlanePoint, trunc: SeriesTruncation) -> tuple:
-    """``J(1; z; a, b)`` of :func:`_lattice_sum` as ``sum w cos(ka a + kb b)`` (binary64):
-    ``L`` and, row ``m >= 0`` by row, a term ``(m, n, w, ka, kb)`` for one of each pair
-    ``+-(m, n)`` with ``Q = pi |m z' + n|^2 / y' <= r2`` at the reduced point: ``w = 2
-    e^{-Q}`` (1 at the origin), ``(ka, kb) = 2 pi (l0 m + l2 n, l1 m + l3 n)``.  ``r2`` is the
-    least :func:`_table_tail` certifies; TruncationError if it leaves ``|m|, |n| <= max_index``."""
+    """``J(1; z; a, b)`` of :func:`_lattice_sum` as ``sum w cos(ka a' + kb b')`` (binary64) in
+    the reduced displacement ``(a', b') = (l0 a + l1 b, -l2 a - l3 b)``, a map of determinant
+    1 under which ``J(z'; a', b') = J(z; a, b)`` at the reduced point: ``L`` and, row ``m >= 0``
+    by row, a term ``(m, n, w, ka, kb)`` for one of each pair ``+-(m, n)`` with ``Q = pi |m z'
+    + n|^2 / y' <= r2``: ``w = 2 e^{-Q}`` (1 at the origin), ``(ka, kb) = 2 pi (m, -n)``.  ``r2``
+    is the least :func:`_table_tail` certifies (with ``L``'s gain, so the partials in ``(a,
+    b)`` stay certified too); TruncationError if it leaves ``|m|, |n| <= max_index``."""
     xr, yr, L = _reduce_point(z, math)
     alpha, beta = math.pi * yr, math.pi / yr
     r2_cap = trunc.max_index**2 * math.pi / max(1.0 / yr, yr + xr * xr / yr)
     tail, start = lambda r2: _table_tail(r2, xr, yr, L), 13.0 - math.log(float(trunc.tail_tol))
     r2 = _least_r2(tail, start, r2_cap, trunc, lambda: f"torus table (z=({z.x}, {z.y}))")
-    l0, l1, l2, l3 = L
     terms = []
     for m in range(int(math.sqrt(r2 / alpha)) + 1):
         reach = math.sqrt((r2 - alpha * m * m) / beta)
         for n in range(0 if m == 0 else math.ceil(-reach - m * xr), math.floor(reach - m * xr) + 1):
             w = (2 if m or n else 1) * math.exp(-alpha * m * m - beta * (m * xr + n) ** 2)
-            terms.append((m, n, w, math.tau * (l0 * m + l2 * n), math.tau * (l1 * m + l3 * n)))
+            terms.append((m, n, w, math.tau * m, -math.tau * n))
     return L, terms
 
 
-def _table_partials(table: tuple, a: float, b: float) -> tuple:
-    """``J_a, J_b, J_aa, J_ab, J_bb`` of a :func:`_torus_table` at ``(a, b)``, in one pass."""
-    (l0, l1, l2, l3), terms = table
-    # the phases are formed in the reduced displacement, mod 1
-    ar, br = math.tau * ((l0 * a + l1 * b) % 1.0), math.tau * ((l2 * a + l3 * b) % 1.0)
+def _table_partials(terms: list, a: float, b: float) -> tuple:
+    """``J_a, J_b, J_aa, J_ab, J_bb`` of a :func:`_torus_table`'s terms at the reduced
+    displacement ``(a, b)``, in one pass."""
+    ar, br = math.tau * (a % 1.0), math.tau * (-b % 1.0)
     fa = fb = faa = fab = fbb = 0.0
     for m, n, w, ka, kb in terms:
         phi = m * ar + n * br
@@ -595,24 +595,21 @@ def _table_partials(table: tuple, a: float, b: float) -> tuple:
     return fa, fb, faa, fab, fbb
 
 
-def _table_grid(table: tuple, n: int) -> tuple:
-    """``(J_a, J_b)`` of a :func:`_torus_table` at every ``(a, b) = (i/n, j/n)``, as
-    ``grid[q][i][j]``: taken at ``(i', j') = L (i, j)``, whose phase ``theta + psi``
-    (``theta = 2 pi m i'/n``, ``psi = 2 pi n' j'/n``) separates, and gathered back."""
-    (l0, l1, l2, l3), terms = table
+def _table_grid(terms: list, n: int) -> tuple:
+    """``(J_a, J_b)`` of a :func:`_torus_table`'s terms at every reduced displacement ``(a,
+    b) = (i/n, j/n)``, as ``grid[q][i][j]``: the phase ``theta + psi`` (``theta = 2 pi m i/n``,
+    ``psi = -2 pi n' j/n``) separates."""
     roots = [complex(math.cos(t), math.sin(t)) for t in (math.tau * k / n for k in range(n))]
     rows = terms[-1][0] + 1
-    thetas = [[roots[m * i % n] for m in range(rows)] for i in range(n)]  # [i'][m]
+    thetas = [[roots[m * i % n] for m in range(rows)] for i in range(n)]  # [i][m]
     grids = []
     for q in (3, 4):  # J_a from ka, J_b from kb
-        cols = [[0j] * rows for _ in range(n)]  # [j'][m]: the row's sum of -w k e^{i psi}
+        cols = [[0j] * rows for _ in range(n)]  # [j][m]: the row's sum of -w k e^{i psi}
         for term in terms:
             m, nr, k = term[0], term[1], -term[2] * term[q]
             for j, col in enumerate(cols):
-                col[m] += k * roots[nr * j % n]
-        red = [[sum(map(mul, col, t)).imag for t in thetas] for col in cols]  # [j'][i']
-        grids.append([[red[(l2 * i + l3 * j) % n][(l0 * i + l1 * j) % n] for j in range(n)]
-                      for i in range(n)])
+                col[m] += k * roots[-nr * j % n]
+        grids.append([[sum(map(mul, col, t)).imag for col in cols] for t in thetas])
     return tuple(grids)
 
 

@@ -171,7 +171,9 @@ class PhaseRow:
     ``angle_or_ratio`` carries the shape parameter: the rhombic opening
     angle (radians) on the rhombic branch, the aspect ratio on the
     rectangular branch, 1.0 for the square, and pi/3 for the hexagonal
-    row of the non-positive-coupling regime.
+    row of the non-positive-coupling regime.  ``energy`` is theta(1; z) +
+    alpha J(z; 1/2, 1/2) = 2 alpha W1,rho(z) on the trajectory, and
+    (1 + alpha) theta(1; z0) on the hexagonal row.
     """
 
     alpha: float
@@ -213,7 +215,9 @@ def optimal_lattice(
     Bridges to the competing functional at rho = (1 - alpha)/(2 alpha) and
     classifies the minimizer branch: arc -> rhombic (opening angle
     arg z = arctan(2y/(y^2-1))), corner -> square, segment -> rectangular
-    (aspect ratio y).
+    (aspect ratio y).  The energy is 2 alpha W1,rho(z), by the sublattice
+    identity J(z; 1/2, 1/2) = 2 theta(2; (z+1)/2) - theta(1; z), with W read off
+    the trajectory's axis blocks (:func:`energy` sums the lattice instead).
     """
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"optimal_lattice needs 0 < alpha <= 1, got {alpha}")
@@ -226,7 +230,7 @@ def optimal_lattice(
         shape, parameter = "square", 1.0
     else:
         shape, parameter = "rectangular", z.y
-    return PhaseRow(alpha, shape, z, parameter, energy(alpha, z, UNIVERSAL_POINTS["w3"], trunc))
+    return PhaseRow(alpha, shape, z, parameter, 2 * alpha * point.value)
 
 
 def phase_row(alpha: float, trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> PhaseRow:
@@ -327,6 +331,14 @@ def _torus_distance(a: float, b: float, a2: float, b2: float) -> float:
     return math.hypot(min(da, 1 - da), min(db, 1 - db))
 
 
+def _torus_point(L: tuple, a: float, b: float) -> tuple:
+    """``L (a, b)`` mod 1, exact on the binary fractions ``a``, ``b``, then rounded once (to
+    1.0 at worst, which :class:`Displacement` wraps to 0)."""
+    (pa, qa), (pb, qb), (l0, l1, l2, l3) = a.as_integer_ratio(), b.as_integer_ratio(), L
+    q, na, nb = qa * qb, l0 * pa * qb + l1 * pb * qa, l2 * pa * qb + l3 * pb * qa
+    return na % q / q, nb % q / q
+
+
 def _newton(table, a, b, refine_tol):
     """Damped Newton for the displacement gradient; returns (a, b, res, ok)."""
     ga, gb, haa, hab, hbb = _table_partials(table, a, b)
@@ -358,20 +370,25 @@ def critical_census(
     """All critical points of (a, b) -> J(z; a, b) on the unit torus.
 
     Grid sign-localization of the gradient and damped Newton, on one torus
-    table of J's terms (TruncationError where it leaves ``trunc.max_index``);
-    the four universal points are seeded unconditionally.  Classification is
-    by the sign of the Hessian determinant (and of J_aa when it is positive); a
-    Newton run that stalls above ``refine_tol`` (0 < refine_tol < inf) is
-    reported as "degenerate" with its achieved residual.  Runs within 1e-6
+    table of J's terms (TruncationError where it leaves ``trunc.max_index``),
+    run at the reduced point z' in the table's reduced displacement (a', b'), where
+    J(z'; a', b') = J(z; a, b) (the identity map inside D).  There the partials
+    carry no factor of the reduction, so far from the strip the residuals, merges
+    and kinds below keep their digits; each point is mapped back exactly.  The four
+    universal points are seeded unconditionally.  Classification is by the sign of
+    the Hessian determinant (and of J_aa when it is positive); a Newton run that
+    stalls above ``refine_tol`` (0 < refine_tol < inf) is reported as "degenerate"
+    with its achieved residual (the gradient's norm in (a', b')).  Runs within 1e-6
     are one point, reported and classified at the run with the least residual,
     save the universal points, which stay at their exact seeds; points are
-    sorted torus representatives, with both of each pair (a, b), (1-a, 1-b).
+    sorted torus representatives in [0, 1)^2, with both of each pair (a, b),
+    (1-a, 1-b).
     """
     if grid_n < 32:
         raise DomainError(f"census grid must have at least 32 points, got {grid_n}")
     if not 0 < refine_tol < math.inf:
         raise DomainError(f"refine_tol must be positive and finite, got {refine_tol}")
-    table = _torus_table(z, trunc)
+    (l0, l1, l2, l3), table = _torus_table(z, trunc)
     ga, gb = _table_grid(table, grid_n)
 
     seeds = [(d.a, d.b) for d in UNIVERSAL_POINTS.values()]
@@ -404,6 +421,7 @@ def critical_census(
             kind = "saddle"
         else:
             kind = "max" if haa < 0 else "min"
+        a, b = _torus_point((-l3, -l1, l2, l0), a, b)  # (a, b), by the inverse map
         points.append(CriticalPoint(Displacement(a, b), kind, res))
     points.sort(key=lambda p: (p.d.a, p.d.b))
     return CriticalPointReport(points=tuple(points), count=len(points))

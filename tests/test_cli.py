@@ -383,6 +383,29 @@ class TestTrajectory:
             counts.append(len(passes))
         assert counts[0] == counts[1] == 1
 
+    @pytest.mark.parametrize(
+        "argv,column,kinds",
+        [
+            (("trajectory", "W1", "--sweep", "0:2:40"), "branch", {"segment", "corner", "arc"}),
+            (("trajectory", "W2", "--sweep", "0:32:40"), "branch", {"segment", "corner", "arc"}),
+            (("phase", "--sweep", "-1:1:40"), "shape",
+             {"hexagonal", "rhombic", "square", "rectangular"}),
+        ],
+    )
+    def test_warm_tables_make_no_lattice_pass(self, capsys, monkeypatch, argv, column, kinds):
+        """Values and energies come from the root solver's axis blocks, the corner from
+        w_eval's cache and the hexagonal rows and alpha0 from theirs."""
+        from latticetheta import cli, kernels, phase_diagram
+
+        first = run(capsys, *argv)
+        passes, original = [], kernels._lattice_sum
+        with monkeypatch.context() as m:
+            for module in (kernels, phase_diagram, cli):
+                m.setattr(module, "_lattice_sum", lambda *a: passes.append(a) or original(*a))
+            assert run(capsys, *argv) == first and first[0] == 0
+        assert {r[column] for r in rows_of(first[1])} == kinds
+        assert passes == []
+
     def test_rows_are_ordered_and_values_certified(self, capsys):
         from latticetheta.functionals import FunctionalKind, w_eval
         from latticetheta import HalfPlanePoint

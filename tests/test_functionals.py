@@ -548,6 +548,23 @@ def test_minimizer_segment_root_value():
     assert quotient("ZofXY", got) == pytest.approx(-0.04, abs=1e-11)
 
 
+def test_trajectory_values_match_the_lattice_pass():
+    """Each minimizer's value is read off the root solver's axis blocks (the corner off
+    w_eval's cache); it agrees with w_eval's lattice pass on every branch of both
+    functionals, next to the thresholds too, where the root is within 3e-5 of y = 1."""
+    th, rng, hit = thresholds(), random.Random(26), set()
+    edges = {W1: (th.sigma1a, th.sigma1b), W2: (th.sigma2a, th.sigma2b)}
+    for kind, hi in ((W1, 2.0), (W2, 32.0)):
+        seg_end, arc_start = edges[kind]
+        rhos = [rng.uniform(0.0, hi) for _ in range(60)]
+        for rho in rhos + [0.0, seg_end * (1 - 1e-9), arc_start * (1 + 1e-9)]:
+            point = minimizer(kind, rho)
+            want = w_eval(kind, rho, point.z)
+            assert abs(point.value - want) <= 1e-13 * want, (kind, rho, point.branch)
+            hit.add((kind, point.branch))
+    assert len(hit) == 6
+
+
 def test_minimizer_corner_plateau():
     th = thresholds()
     for i in range(20):

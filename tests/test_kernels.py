@@ -571,13 +571,14 @@ def test_extended_j_partials_at_a_displacement_match_45_digit_sums(x, y, a, b):
 
 @pytest.mark.parametrize("x,y,n", [(0.5, 0.9, 32), (-1.3, 0.4, 33), (3.7, 0.05, 35)])
 def test_table_grid_matches_30_digit_sums(x, y, n):
-    # the pointwise sum forms L (a, b) from rounded a and b, so far from the
-    # fundamental domain the grid is checked against the kernel at 30 digits
+    # the grid is taken in the reduced displacement, J(z'; i/n, j/n) at the reduced
+    # point z', and is checked against the kernel there at 30 digits
     z, fine = HalfPlanePoint(x, y), SeriesTruncation(max_index=200, tail_tol=1e-30)
-    grid = kernels._table_grid(kernels._torus_table(z, DEFAULT_TRUNCATION), n)
+    zr = HalfPlanePoint(*kernels._reduce_point(z, math)[:2])
+    grid = kernels._table_grid(kernels._torus_table(z, DEFAULT_TRUNCATION)[1], n)
     for i, j in [(0, 0), (1, n - 1), (n // 2, 3), (n - 5, n // 3), (7, 11), (n - 1, n - 2)]:
         with mp.workdps(30):
-            want = kernels._lattice_sum(1, z, ((mp.mpf(i) / n, mp.mpf(j) / n),), 1, fine, mp.mp)[0]
+            want = kernels._lattice_sum(1, zr, ((mp.mpf(i) / n, mp.mpf(j) / n),), 1, fine, mp.mp)[0]
         for q, w in enumerate(want):
             assert abs(grid[q][i][j] - w) <= 1e-12 * (1 + abs(w)), (q, i, j)
 

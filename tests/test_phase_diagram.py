@@ -3,6 +3,7 @@
 import math
 import random
 import warnings
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -336,6 +337,17 @@ class TestOptimalLattice:
         assert row.angle_or_ratio == pytest.approx(math.pi / 3)
         assert row.energy == pytest.approx(0.5 * theta2d(1, HEXAGONAL_POINT), rel=1e-12)
 
+    def test_optimal_lattice_energy_matches_the_lattice_pass(self):
+        # read off the trajectory as 2 alpha W1,rho(z), rho = (1 - alpha)/(2 alpha): the
+        # sublattice identity at s = 1; energy() sums the lattice at (1/2, 1/2)
+        rng, shapes = random.Random(26), set()
+        for alpha in [rng.uniform(1e-3, 1.0) for _ in range(60)] + [1.0]:
+            row = optimal_lattice(alpha)
+            want = energy(alpha, row.z, HALF)
+            assert abs(row.energy - want) <= 1e-13 * want, (alpha, row.shape)
+            shapes.add(row.shape)
+        assert shapes == {"rhombic", "square", "rectangular"}
+
     def test_phase_row_positive_coupling_delegates(self):
         assert phase_row(0.4) == optimal_lattice(0.4)
 
@@ -459,13 +471,14 @@ class TestCriticalCensus:
         "x,y", [(0.5, math.sqrt(3) / 2), (3.7, 0.05), (-1.3, 0.4), (0.2, 7.0)]
     )
     def test_gradient_grid_matches_pointwise_partials(self, x, y, n):
-        # the census grid is reduced once and gathered back through L; every
-        # grid point must agree with its own pointwise kernel pass
+        # the census grid is taken in the reduced displacement, J(z'; a', b'); every
+        # grid point must agree with its own pointwise kernel pass at the reduced point
         z, trunc = HalfPlanePoint(x, y), SeriesTruncation()
-        ga, gb = kernels._table_grid(kernels._torus_table(z, trunc), n)
+        zr = HalfPlanePoint(*kernels._reduce_point(z, math)[:2])
+        ga, gb = kernels._table_grid(kernels._torus_table(z, trunc)[1], n)
         for i in range(n):
             for j in range(n):
-                pa, pb = kernels._lattice_sum(1, z, ((i / n, j / n),), 1, trunc, math)[0]
+                pa, pb = kernels._lattice_sum(1, zr, ((i / n, j / n),), 1, trunc, math)[0]
                 assert abs(ga[i][j] - pa) <= 1e-13 * (1 + abs(pa)), (i, j)
                 assert abs(gb[i][j] - pb) <= 1e-13 * (1 + abs(pb)), (i, j)
 
@@ -474,11 +487,12 @@ class TestCriticalCensus:
     )
     def test_table_partials_match_pointwise_partials(self, x, y):
         z, trunc = HalfPlanePoint(x, y), SeriesTruncation()
-        table = kernels._torus_table(z, trunc)
+        zr = HalfPlanePoint(*kernels._reduce_point(z, math)[:2])
+        terms = kernels._torus_table(z, trunc)[1]
         for a, b in [(0.1, 0.2), (0.37, 0.81), (0.5, 0.5), (0.9, 0.05), (0.25, 0.75), (0, 0)]:
-            got = kernels._table_partials(table, a, b)
-            want = kernels._lattice_sum(1, z, ((a, b),), 1, trunc, math)[0]
-            want += kernels._lattice_sum(1, z, ((a, b),), 2, trunc, math)[0]
+            got = kernels._table_partials(terms, a, b)
+            want = kernels._lattice_sum(1, zr, ((a, b),), 1, trunc, math)[0]
+            want += kernels._lattice_sum(1, zr, ((a, b),), 2, trunc, math)[0]
             for g, p in zip(got, want):
                 assert abs(g - p) <= 1e-13 * (1 + abs(p)), (a, b)
 
@@ -499,6 +513,41 @@ class TestCriticalCensus:
         with pytest.raises(TruncationError) as census:
             critical_census(HalfPlanePoint(1e300, 1.0), 32)
         assert census.value.achieved_bound == math.inf
+
+    @pytest.mark.parametrize("k", [10**8, 10**12])
+    def test_census_far_along_the_real_axis(self, k):
+        # J(z + k; a, b) = J(z; a + k b, b): far from the strip the census's table, taken
+        # in the reduced displacement, gives at the exactly sheared displacement the J_a
+        # of x = z.x - k and the pointwise J_a at (a, b); and the census finds the same
+        # points, sheared, with the same kinds, each reported in [0, 1)
+        z, (a, b), trunc = HalfPlanePoint(k + 0.2, 1.3), (0.25, 0.3), SeriesTruncation()
+        near = HalfPlanePoint(z.x - k, z.y)
+        shear = lambda a, b: float((Fraction(a) + k * Fraction(b)) % 1)
+        tables = (kernels._torus_table(p, trunc)[1] for p in (z, near))
+        far_ja, near_ja = (kernels._table_partials(t, shear(a, b), b)[0] for t in tables)
+        assert abs(far_ja - near_ja) <= 1e-13
+        assert abs(far_ja - kernels._lattice_sum(1, z, ((a, b),), 1, trunc, math)[0][0]) <= 1e-13
+        far, here = critical_census(z, 32), critical_census(near, 32)
+        assert far.count == here.count == 4
+        for p in far.points:
+            assert 0 <= p.d.a < 1 and 0 <= p.d.b < 1
+            twin = here.find(shear(p.d.a, p.d.b), p.d.b)
+            assert twin is not None and twin.kind == p.kind, p
+
+    @pytest.mark.parametrize("x,y", [(3.7, 0.05), (-1.3, 0.4), (2.6, 0.3)])
+    def test_census_maps_points_back_from_the_reduced_point(self, x, y):
+        # off D the census runs at z' = g z and maps each point back by L^-1: the points at z,
+        # pushed forward by (a', b') = (l0 a + l1 b, -l2 a - l3 b), are those at z'
+        z = HalfPlanePoint(x, y)
+        xr, yr, (l0, l1, l2, l3) = kernels._reduce_point(z, math)
+        here, there = critical_census(z, 32), critical_census(HalfPlanePoint(xr, yr), 32)
+        assert here.count == there.count
+        for p in here.points:
+            assert 0 <= p.d.a < 1 and 0 <= p.d.b < 1
+            fa, fb = (Fraction(p.d.a), Fraction(p.d.b))
+            ar, br = float((l0 * fa + l1 * fb) % 1), float((-l2 * fa - l3 * fb) % 1)
+            twin = there.find(ar, br, tol=1e-12)
+            assert twin is not None and twin.kind == p.kind, p
 
     def test_census_makes_no_lattice_sum_call(self, monkeypatch):
         calls = []
